@@ -1,26 +1,41 @@
 """Exact convex-hull membership and lattice point enumeration.
 
 A polytope is given as the convex hull of finitely many integer generator
-points (a lattice V-representation).  Membership of a rational point p is
-the feasibility of the system
+points (a lattice V-representation).  A rational point p is scaled once to
+integer numerators over one common denominator den, and its membership is
+the feasibility of the integer system
 
-    lambda >= 0,  sum lambda_s = 1,  sum lambda_s * s = p,
+    lambda >= 0,  sum lambda_s = den,  sum lambda_s * s = den * p,
 
-decided by a phase-1 simplex over ``fractions.Fraction``.  Bland's
-smallest-index pivoting rule rules out cycling, so the method terminates,
-and with exact arithmetic every answer is reproducible bit for bit.
+decided by a fraction-free phase-1 simplex: every tableau entry is a
+Python int over one shared denominator, the previous pivot (Bareiss).
+Bland's smallest-index pivoting rule rules out cycling, so the method
+terminates, and with exact arithmetic every answer is reproducible bit
+for bit.
+
+Every answer carries a certificate that is checked before it is
+returned.  A "yes" is a nonnegative integer combination of the
+generators that sums to the point; a "no" is an integer Farkas vector,
+an inequality that every generator satisfies and the point violates.
+The cheap answers in ``contains`` (a coordinate bound or common
+coordinate sum that the point breaks, or the point being a generator)
+are such certificates already.  A certificate that fails its check
+raises ``CertificateError``, which ``python -O`` does not strip.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 from .polynomial import SparsePolynomial
 
 __all__ = [
     "VPolytope",
+    "CertificateError",
     "newton_polytope",
     "contains",
     "lattice_points",
@@ -28,6 +43,10 @@ __all__ = [
     "polytope_subset",
     "polytope_equal",
 ]
+
+
+class CertificateError(ArithmeticError):
+    """An exact membership answer failed the check of its own certificate."""
 
 
 @dataclass(frozen=True)
@@ -48,6 +67,22 @@ class VPolytope:
     def from_points(cls, n: int, points: Iterable[Sequence[int]]) -> VPolytope:
         return cls(n, tuple(sorted({tuple(p) for p in points})))
 
+    @cached_property
+    def _box(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Per-coordinate minima and maxima of the generators."""
+        columns = list(zip(*self.generators))
+        return tuple(map(min, columns)), tuple(map(max, columns))
+
+    @cached_property
+    def _common_sum(self) -> int | None:
+        """The coordinate sum every generator shares, or None."""
+        sums = {sum(g) for g in self.generators}
+        return next(iter(sums)) if len(sums) == 1 else None
+
+    @cached_property
+    def _generator_set(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(self.generators)
+
 
 def newton_polytope(f: SparsePolynomial) -> VPolytope:
     """Convex hull of the exponent vectors of a nonzero polynomial."""
@@ -56,90 +91,160 @@ def newton_polytope(f: SparsePolynomial) -> VPolytope:
     return VPolytope.from_points(f.n, f.exponents())
 
 
-def contains(p: VPolytope, point: Sequence[int | Fraction]) -> bool:
-    """Exact test whether point is a convex combination of the generators."""
+def contains(p: VPolytope, point: Sequence[numbers.Rational]) -> bool:
+    """Exact test whether point is a convex combination of the generators.
+
+    Coordinates must be rational (``int`` or ``fractions.Fraction``); a
+    float is refused, because its binary expansion is not the decimal it
+    was written as.
+    """
     if len(point) != p.n:
         raise ValueError(f"point length {len(point)} does not match dimension {p.n}")
-    q = tuple(Fraction(x) for x in point)
+    if all(type(x) is int for x in point):
+        den = 1
+        num = tuple(point)
+    else:
+        for x in point:
+            if not isinstance(x, numbers.Rational):
+                raise TypeError(f"coordinate {x!r} is not rational; use int or fractions.Fraction")
+        den = math.lcm(*(x.denominator for x in point))
+        num = tuple(x.numerator * (den // x.denominator) for x in point)
     # Cheap exact rejections: the hull lies inside the coordinate box, and
     # when all generators share a coordinate sum, inside that hyperplane.
+    mins, maxs = p._box
     for k in range(p.n):
-        coords = [g[k] for g in p.generators]
-        if not min(coords) <= q[k] <= max(coords):
+        if not mins[k] * den <= num[k] <= maxs[k] * den:
             return False
-    sums = {sum(g) for g in p.generators}
-    if len(sums) == 1 and sum(q) != next(iter(sums)):
+    common = p._common_sum
+    if common is not None and sum(num) != common * den:
         return False
-    if all(x.denominator == 1 for x in q) and tuple(int(x) for x in q) in set(p.generators):
+    if den == 1 and num in p._generator_set:
         return True
-    return _convex_feasible(p.generators, q)
+    return _convex_feasible(p.generators, num, den)
 
 
-def _convex_feasible(generators: Sequence[tuple[int, ...]], point: tuple[Fraction, ...]) -> bool:
-    """Phase-1 simplex with Bland's rule on the convex combination system."""
-    n = len(point)
-    num_vars = len(generators)
-    m = n + 1  # one convexity row plus one row per coordinate
-    # Equality rows [A | b]: row 0 is sum lambda = 1, row k is coordinate k.
-    rows: list[list[Fraction]] = []
+def _convex_feasible(generators: Sequence[tuple[int, ...]], num: tuple[int, ...], den: int) -> bool:
+    """Whether num/den is in the hull of generators, with its certificate checked."""
+    feasible, certificate, scale = _phase1(generators, num, den)
+    if feasible:
+        _check_combination(generators, num, den, certificate, scale)
+    else:
+        _check_separation(generators, num, den, certificate)
+    return feasible
+
+
+def _phase1(
+    generators: Sequence[tuple[int, ...]], num: tuple[int, ...], den: int
+) -> tuple[bool, list[int], int]:
+    """Fraction-free phase-1 simplex with Bland's rule on the convex
+    combination system.
+
+    Returns ``(True, lam, d)`` when the system is feasible, where lam are
+    integer weights with ``sum lam == d * den`` and ``sum lam_s * s ==
+    d * num``; or ``(False, y, d)``, where y is a Farkas vector over the
+    rows (convexity row first) with ``y . (1, s) <= 0`` for every
+    generator s and ``y . (den, num) > 0``.  The caller checks either.
+    """
+    k = len(generators)
+    m = len(num) + 1  # one convexity row plus one row per coordinate
+    # Equality rows [A | I | b], negated where b < 0 so that b >= 0.
+    signs = [1] + [-1 if x < 0 else 1 for x in num]
+    tableau: list[list[int]] = []
     for r in range(m):
+        s = signs[r]
         if r == 0:
-            coeffs = [Fraction(1)] * num_vars
-            rhs = Fraction(1)
+            row = [1] * k + [0] * m + [den]
         else:
-            coeffs = [Fraction(g[r - 1]) for g in generators]
-            rhs = point[r - 1]
-        if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-        rows.append(coeffs + [rhs])
-
-    # Tableau columns: num_vars originals, m artificials, then the rhs.
-    width = num_vars + m + 1
-    tableau = []
-    for r, row in enumerate(rows):
-        t = row[:-1] + [Fraction(0)] * m + [row[-1]]
-        t[num_vars + r] = Fraction(1)
-        tableau.append(t)
-    basis = [num_vars + r for r in range(m)]
+            row = [s * g[r - 1] for g in generators] + [0] * m + [s * num[r - 1]]
+        row[k + r] = 1
+        tableau.append(row)
+    basis = list(range(k, k + m))
 
     # Phase-1 objective: minimize the artificial sum.  Reduced cost row,
     # with the rhs cell holding minus the current objective value.
-    obj = [Fraction(0)] * width
-    for c in range(num_vars):
-        obj[c] = -sum(tableau[r][c] for r in range(m))
-    obj[-1] = -sum(tableau[r][-1] for r in range(m))
+    totals = [sum(column) for column in zip(*tableau)]
+    obj = [-t for t in totals[:k]] + [0] * m + [-totals[-1]]
 
+    # Every row, obj included, holds its true values times d, where d is
+    # the current basis determinant; it starts at 1 and each pivot p > 0
+    # becomes the next d, so divisions by d are exact and signs match the
+    # rational tableau's.
+    d = 1
     while True:
-        enter = next((c for c in range(num_vars + m) if obj[c] < 0), None)
+        enter = next((c for c in range(k + m) if obj[c] < 0), None)
         if enter is None:
-            return obj[-1] == 0
+            break
         leave = None
-        best: Fraction | None = None
-        for r in range(m):
-            coeff = tableau[r][enter]
-            if coeff > 0:
-                ratio = tableau[r][-1] / coeff
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best = ratio
-                    leave = r
-        assert leave is not None, "phase-1 objective is bounded below"
-        _pivot(tableau, obj, leave, enter)
+        for r, row in enumerate(tableau):
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave, best_rhs, best_a = r, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * best_a, best_rhs * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave, best_rhs, best_a = r, row[-1], a
+        if leave is None:
+            raise CertificateError("phase-1 objective is bounded below, yet no row can leave")
+        pivot_row = tableau[leave]
+        p = pivot_row[enter]
+        for r, row in enumerate(tableau):
+            if r != leave:
+                f = row[enter]
+                if f:
+                    tableau[r] = [(x * p - f * y) // d for x, y in zip(row, pivot_row)]
+                else:
+                    tableau[r] = [x * p // d for x in row]
+        f = obj[enter]
+        obj = [(x * p - f * y) // d for x, y in zip(obj, pivot_row)]
         basis[leave] = enter
+        d = p
+
+    if obj[-1] == 0:
+        lam = [0] * k
+        for r, j in enumerate(basis):
+            if j < k:
+                lam[j] = tableau[r][-1]
+        return True, lam, d
+    # obj on artificial column r is d * (1 - pi_r) for the phase-1 duals
+    # pi of the sign-adjusted rows; undoing the signs gives y.
+    return False, [s * (d - obj[k + r]) for r, s in enumerate(signs)], d
 
 
-def _pivot(tableau: list[list[Fraction]], obj: list[Fraction], row: int, col: int) -> None:
-    pivot_row = tableau[row]
-    inv = 1 / pivot_row[col]
-    tableau[row] = [x * inv for x in pivot_row]
-    pivot_row = tableau[row]
-    for r, other in enumerate(tableau):
-        if r != row and other[col]:
-            factor = other[col]
-            tableau[r] = [x - factor * y for x, y in zip(other, pivot_row)]
-    if obj[col]:
-        factor = obj[col]
-        obj[:] = [x - factor * y for x, y in zip(obj, pivot_row)]
+def _check_combination(
+    generators: Sequence[tuple[int, ...]],
+    num: tuple[int, ...],
+    den: int,
+    lam: Sequence[int],
+    scale: int,
+) -> None:
+    """Raise CertificateError unless lam >= 0, sum lam == scale * den and
+    sum lam_s * s == scale * num, which put num/den in the hull."""
+    if scale <= 0 or len(lam) != len(generators) or any(w < 0 for w in lam):
+        raise CertificateError("hull certificate has a negative weight or scale")
+    if sum(lam) != scale * den:
+        raise CertificateError("hull certificate weights do not sum to the scale")
+    for i, x in enumerate(num):
+        if sum(w * g[i] for w, g in zip(lam, generators)) != scale * x:
+            raise CertificateError(f"hull certificate misses coordinate {i + 1}")
+
+
+def _check_separation(
+    generators: Sequence[tuple[int, ...]],
+    num: tuple[int, ...],
+    den: int,
+    y: Sequence[int],
+) -> None:
+    """Raise CertificateError unless y . (1, s) <= 0 for every generator s
+    and y . (den, num) > 0, which put num/den outside the hull."""
+    if len(y) != len(num) + 1:
+        raise CertificateError("separation certificate has the wrong length")
+    y0, normal = y[0], y[1:]
+    for g in generators:
+        if y0 + sum(a * b for a, b in zip(normal, g)) > 0:
+            raise CertificateError(f"separation certificate cuts off generator {g}")
+    if y0 * den + sum(a * b for a, b in zip(normal, num)) <= 0:
+        raise CertificateError("separation certificate does not cut off the point")
 
 
 def lattice_points(p: VPolytope) -> set[tuple[int, ...]]:
@@ -149,10 +254,8 @@ def lattice_points(p: VPolytope) -> set[tuple[int, ...]]:
     generator has the same coordinate sum the search is further cut to
     that hyperplane.  Each candidate is then settled by ``contains``.
     """
-    mins = [min(g[k] for g in p.generators) for k in range(p.n)]
-    maxs = [max(g[k] for g in p.generators) for k in range(p.n)]
-    sums = {sum(g) for g in p.generators}
-    target = next(iter(sums)) if len(sums) == 1 else None
+    mins, maxs = p._box
+    target = p._common_sum
 
     found: set[tuple[int, ...]] = set()
 

@@ -2,17 +2,27 @@
 
 Independent oracle for membership in two dimensions: a point is in the
 hull iff it is on the correct side of every edge of the (tiny) generator
-set, checked with exact cross products.  Higher-dimensional answers are
-cross-checked against the move closure, which is computed by BFS and
-never touches the LP.
+set, checked with exact cross products.  In any dimension, ``contains``
+is compared with ``reference_feasible``, a phase-1 simplex over
+``fractions.Fraction`` that shares no code with the integer solver.
+Higher-dimensional answers are also cross-checked against the move
+closure, which is computed by BFS and never touches the LP.
 """
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
+import keypoly
+from keypoly import polytope, verify
 from keypoly.moves import closure, dominance_leq
 from keypoly.polynomial import SparsePolynomial, key_polynomial
 from keypoly.polytope import (
@@ -24,6 +34,76 @@ from keypoly.polytope import (
     polytope_subset,
     snp_check,
 )
+
+
+def reference_feasible(generators, point):
+    """Phase-1 simplex with Bland's rule on the convex combination system,
+    in ``Fraction`` arithmetic, without any shortcut: the reference that
+    the integer solver behind ``contains`` must agree with."""
+    point = tuple(Fraction(x) for x in point)
+    n = len(point)
+    num_vars = len(generators)
+    m = n + 1  # one convexity row plus one row per coordinate
+    # Equality rows [A | b]: row 0 is sum lambda = 1, row k is coordinate k.
+    rows: list[list[Fraction]] = []
+    for r in range(m):
+        if r == 0:
+            coeffs = [Fraction(1)] * num_vars
+            rhs = Fraction(1)
+        else:
+            coeffs = [Fraction(g[r - 1]) for g in generators]
+            rhs = point[r - 1]
+        if rhs < 0:
+            coeffs = [-c for c in coeffs]
+            rhs = -rhs
+        rows.append(coeffs + [rhs])
+
+    # Tableau columns: num_vars originals, m artificials, then the rhs.
+    width = num_vars + m + 1
+    tableau = []
+    for r, row in enumerate(rows):
+        t = row[:-1] + [Fraction(0)] * m + [row[-1]]
+        t[num_vars + r] = Fraction(1)
+        tableau.append(t)
+    basis = [num_vars + r for r in range(m)]
+
+    # Phase-1 objective: minimize the artificial sum.  Reduced cost row,
+    # with the rhs cell holding minus the current objective value.
+    obj = [Fraction(0)] * width
+    for c in range(num_vars):
+        obj[c] = -sum(tableau[r][c] for r in range(m))
+    obj[-1] = -sum(tableau[r][-1] for r in range(m))
+
+    while True:
+        enter = next((c for c in range(num_vars + m) if obj[c] < 0), None)
+        if enter is None:
+            return obj[-1] == 0
+        leave = None
+        best: Fraction | None = None
+        for r in range(m):
+            coeff = tableau[r][enter]
+            if coeff > 0:
+                ratio = tableau[r][-1] / coeff
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best = ratio
+                    leave = r
+        assert leave is not None, "phase-1 objective is bounded below"
+        _reference_pivot(tableau, obj, leave, enter)
+        basis[leave] = enter
+
+
+def _reference_pivot(tableau, obj, row, col):
+    pivot_row = tableau[row]
+    inv = 1 / pivot_row[col]
+    tableau[row] = [x * inv for x in pivot_row]
+    pivot_row = tableau[row]
+    for r, other in enumerate(tableau):
+        if r != row and other[col]:
+            factor = other[col]
+            tableau[r] = [x - factor * y for x, y in zip(other, pivot_row)]
+    if obj[col]:
+        factor = obj[col]
+        obj[:] = [x - factor * y for x, y in zip(obj, pivot_row)]
 
 
 def hull_contains_2d(generators, point):
@@ -104,6 +184,13 @@ class TestContains:
             for _ in range(12):
                 q = (Fraction(rng.randint(0, 12), 2), Fraction(rng.randint(0, 12), 2))
                 assert contains(p, q) == hull_contains_2d(gens, q)
+
+    def test_float_coordinates_rejected(self):
+        p = VPolytope.from_points(2, [(1, 0), (0, 1)])
+        assert contains(p, (Fraction(1, 10), Fraction(9, 10)))
+        for bad in ((0.1, 0.9), (Fraction(1, 10), 0.9), (Decimal("0.1"), Decimal("0.9"))):
+            with pytest.raises(TypeError):
+                contains(p, bad)
 
     def test_deterministic(self):
         p = VPolytope.from_points(3, set(permutations((4, 2, 0))))
@@ -194,3 +281,115 @@ class TestCrossModule:
         for mu in same_sum:
             for lam in same_sum:
                 assert polytope_subset(hulls[mu], hulls[lam]) == dominance_leq(mu, lam)
+
+
+def _random_instance(rng):
+    n = rng.randint(1, 4)
+    kind = rng.choice(("free", "repeated", "collinear"))
+    if kind == "collinear":
+        base = [rng.randint(-3, 3) for _ in range(n)]
+        step = [rng.randint(-2, 2) for _ in range(n)]
+        gens = [tuple(b + t * s for b, s in zip(base, step)) for t in rng.sample(range(-2, 4), rng.randint(1, 4))]
+    else:
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+        if kind == "repeated":
+            gens += rng.choices(gens, k=rng.randint(1, 3))
+    # VPolytope() itself keeps repeated generators; from_points would drop them.
+    p = VPolytope(n, tuple(gens))
+    if rng.random() < 0.5:
+        weights = [rng.randint(0, 3) for _ in gens]
+        weights[0] += 1
+        total = sum(weights)
+        point = [Fraction(sum(w * g[k] for w, g in zip(weights, gens)), total) for k in range(n)]
+        if rng.random() < 0.5:
+            point[rng.randrange(n)] += Fraction(rng.choice((-1, 1)), rng.randint(1, 4))
+    else:
+        point = [Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(n)]
+    return p, tuple(point)
+
+
+class TestReferenceSimplex:
+    def test_suite_instances_match_reference(self, monkeypatch):
+        instances = []
+
+        def record(p, point):
+            instances.append((p, tuple(point)))
+            return contains(p, point)
+
+        monkeypatch.setattr(polytope, "contains", record)
+        assert verify.suite_theorem11(3, 3).passed
+        assert verify.suite_rado(3, 3).passed
+        assert len(instances) == 1898
+        for p, point in dict.fromkeys(instances):
+            assert contains(p, point) == reference_feasible(p.generators, point), (p, point)
+
+    def test_random_instances_match_reference(self):
+        rng = random.Random(2011)
+        answers = []
+        for _ in range(300):
+            p, point = _random_instance(rng)
+            answer = contains(p, point)
+            assert answer == reference_feasible(p.generators, point), (p, point)
+            answers.append(answer)
+        assert 50 < sum(answers) < 250  # both answers are exercised
+
+
+# Run under ``python -O``, which strips every assert, so the exit status
+# shows whether the certificate checks still reject on their own.
+_TAMPER_SCRIPT = textwrap.dedent(
+    """
+    from keypoly.polytope import CertificateError, _check_combination, _check_separation, _phase1
+
+    def rejected(check, *args):
+        try:
+            check(*args)
+        except CertificateError:
+            return True
+        return False
+
+    square = ((0, 0), (2, 0), (0, 2))
+    feasible, lam, scale = _phase1(square, (1, 1), 2)
+    if not feasible or rejected(_check_combination, square, (1, 1), 2, lam, scale):
+        raise SystemExit("honest hull certificate was not accepted")
+    for i in range(len(lam)):
+        for delta in (-1, 1):
+            bad = list(lam)
+            bad[i] += delta
+            if not rejected(_check_combination, square, (1, 1), 2, bad, scale):
+                raise SystemExit(f"tampered weights {bad} were accepted")
+    feasible, y, _ = _phase1(square, (2, 2), 1)
+    if feasible or rejected(_check_separation, square, (2, 2), 1, y):
+        raise SystemExit("honest separation certificate was not accepted")
+    for i in range(len(y)):
+        if y[i]:
+            bad = list(y)
+            bad[i] = -bad[i]
+            if not rejected(_check_separation, square, (2, 2), 1, bad):
+                raise SystemExit(f"tampered separation {bad} was accepted")
+    print("optimized" if not __debug__ else "debug", lam, scale, y)
+    """
+)
+
+
+class TestCertificates:
+    def test_tampered_certificates_rejected_without_asserts(self):
+        src = str(Path(keypoly.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _TAMPER_SCRIPT], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.startswith("optimized [4, 2, 2] 4 [-2, 1, 1]"), proc.stdout
+
+    def test_answers_raise_when_certificate_breaks(self, monkeypatch):
+        p = VPolytope.from_points(2, [(0, 0), (2, 0), (0, 2)])
+        real = polytope._phase1
+
+        def wrong_answer(*args):
+            feasible, certificate, scale = real(*args)
+            return not feasible, certificate, scale
+
+        monkeypatch.setattr(polytope, "_phase1", wrong_answer)
+        for point in ((Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 2), Fraction(3, 2))):
+            with pytest.raises(polytope.CertificateError):
+                contains(p, point)
