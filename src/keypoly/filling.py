@@ -209,12 +209,15 @@ def optimize(f: Filling) -> Filling:
             if col[target] == target:
                 continue
             source = next(r for r, v in col.items() if v == target)
-            assert source > target, "flag bound forces the stray copy below its home row"
+            if not source > target:
+                raise RuntimeError("flag bound forces the stray copy below its home row")
             col[target], col[source] = target, col[target]
-        assert all(col[t] == t for t in targets)
+        if not all(col[t] == t for t in targets):
+            raise RuntimeError("every target must sit in its home box")
         new_columns.append(tuple(col[r] for r in rows))
     result = Filling(f.diagram, tuple(new_columns))
-    assert weight(result) == weight(f)
+    if weight(result) != weight(f):
+        raise RuntimeError("optimize must preserve the weight")
     return result
 
 
@@ -299,8 +302,10 @@ def lemma_step(f: Filling) -> tuple[Filling, Move]:
         result = swap_values(g, i, j)
         move = Move("T", i, j)
     new_weight = weight(result)
-    assert apply_move(new_weight, move) == beta
-    assert beta > new_weight  # lex decrease, tuples compare lexicographically
+    if apply_move(new_weight, move) != beta:
+        raise RuntimeError(f"{move} must map the new weight {new_weight} back to {beta}")
+    if not beta > new_weight:  # tuples compare lexicographically
+        raise RuntimeError(f"weight must drop in lex order, got {beta} -> {new_weight}")
     return result, move
 
 
@@ -345,8 +350,10 @@ def witness_filling(alpha: Sequence[int], chain: MoveChain) -> Filling:
             if mv.j in values and mv.i not in values:
                 columns[c] = tuple(mv.i if x == mv.j else x for x in values)
                 rewritten += 1
-        assert rewritten == need, "column-strictness guarantees enough columns"
+        if rewritten != need:
+            raise RuntimeError("column-strictness guarantees enough columns")
         current = Filling(current.diagram, tuple(columns))
-        assert weight(current) == v_next
+        if weight(current) != v_next:
+            raise RuntimeError(f"witness filling weight {weight(current)} must equal {v_next}")
         v = v_next
     return current

@@ -10,6 +10,12 @@ always judged on the current vector, not on alpha.
 Both moves preserve the coordinate sum and keep every coordinate inside
 [min(alpha), max(alpha)], so breadth-first search over legal moves
 terminates and computes the full reachable set.
+
+The search works on plain tuples and records each vector's parent as
+(parent, kind, i, j); ``Move`` objects are built only for the path that
+``leq_kappa`` returns.  The most recent search is memoized, so a closure
+followed by reachability queries from the same alpha searches once;
+``closure`` and ``closure_order`` return fresh copies of it.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 __all__ = [
@@ -117,54 +124,92 @@ def legal_moves(v: Sequence[int]) -> list[Move]:
     return out
 
 
-def _bfs_parents(alpha: tuple[int, ...]) -> dict[tuple[int, ...], tuple[tuple[int, ...], Move] | None]:
-    """BFS from alpha; maps each reachable vector to its (parent, move).
+# How the BFS first reached a vector: (parent, kind, i, j).
+_Step = tuple[tuple[int, ...], str, int, int]
 
-    Insertion order is discovery order, which is deterministic because
-    legal_moves is.  The sum/range invariants are asserted on every edge.
+
+@lru_cache(maxsize=1)
+def _bfs_parents(alpha: tuple[int, ...]) -> dict[tuple[int, ...], _Step | None]:
+    """BFS from alpha; maps each reachable vector w to (parent, kind, i, j),
+    the move that first reached it, and alpha to None.
+
+    Insertion order is discovery order.  Each state scans its T moves and
+    then its M moves, each in lex (i, j) order, which is the order of
+    legal_moves, so the order is deterministic.  Moves are not built or
+    revalidated here: a swap, and a unit transfer from an entry to one at
+    least 2 below it, both keep the sum and every coordinate inside
+    [min(alpha), max(alpha)].
+
+    The last search is memoized (one entry), so closure(alpha) followed by
+    leq_kappa(beta, alpha) searches once.  Callers must not mutate the
+    returned dict.
     """
-    total = sum(alpha)
-    lo = min(alpha, default=0)
-    hi = max(alpha, default=0)
-    parents: dict[tuple[int, ...], tuple[tuple[int, ...], Move] | None] = {alpha: None}
+    n = len(alpha)
+    pairs = [(i, j, i + 1, j + 1) for i in range(n - 1) for j in range(i + 1, n)]
+    parents: dict[tuple[int, ...], _Step | None] = {alpha: None}
     queue = deque([alpha])
     while queue:
         v = queue.popleft()
-        for mv in legal_moves(v):
-            w = apply_move(v, mv)
-            assert sum(w) == total and all(lo <= x <= hi for x in w)
-            if w not in parents:
-                parents[w] = (v, mv)
-                queue.append(w)
+        for i, j, mi, mj in pairs:
+            a = v[i]
+            b = v[j]
+            if a < b:
+                w = list(v)
+                w[i] = b
+                w[j] = a
+                w = tuple(w)
+                if w not in parents:
+                    parents[w] = (v, "T", mi, mj)
+                    queue.append(w)
+        for i, j, mi, mj in pairs:
+            a = v[i]
+            b = v[j]
+            if a < b - 1:
+                w = list(v)
+                w[i] = a + 1
+                w[j] = b - 1
+                w = tuple(w)
+                if w not in parents:
+                    parents[w] = (v, "M", mi, mj)
+                    queue.append(w)
     return parents
+
+
+def _int_vector(v: Sequence[int]) -> tuple[int, ...]:
+    """v as a tuple of ints.  Other entries are refused: the search memo
+    would answer (1.0, 2.0) with the vectors found from (1, 2)."""
+    vec = tuple(v)
+    if not all(isinstance(x, int) for x in vec):
+        raise TypeError(f"vector entries must be integers, got {vec}")
+    return vec
 
 
 def closure(alpha: Sequence[int]) -> set[tuple[int, ...]]:
     """Every vector reachable from alpha by legal moves, alpha included."""
-    return set(_bfs_parents(tuple(alpha)))
+    return set(_bfs_parents(_int_vector(alpha)))
 
 
 def closure_order(alpha: Sequence[int]) -> list[tuple[int, ...]]:
     """The reachable set in BFS discovery order (deterministic)."""
-    return list(_bfs_parents(tuple(alpha)))
+    return list(_bfs_parents(_int_vector(alpha)))
 
 
 def leq_kappa(beta: Sequence[int], alpha: Sequence[int]) -> tuple[bool, MoveChain | None]:
     """Decide reachability of beta from alpha; on success also return a
     witnessing chain from alpha to beta."""
     b = tuple(beta)
-    a = tuple(alpha)
+    a = _int_vector(alpha)
     if len(b) != len(a):
         raise ValueError(f"length mismatch: {len(b)} vs {len(a)}")
     parents = _bfs_parents(a)
     if b not in parents:
         return False, None
     path: list[Move] = []
-    node = b
-    while parents[node] is not None:
-        parent, mv = parents[node]  # type: ignore[misc]
-        path.append(mv)
-        node = parent
+    step = parents[b]
+    while step is not None:
+        node, kind, i, j = step
+        path.append(Move(kind, i, j))
+        step = parents[node]
     return True, MoveChain(a, tuple(reversed(path)))
 
 

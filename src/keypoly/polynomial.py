@@ -4,7 +4,13 @@ A polynomial in n variables is a finite map from exponent tuples (length n,
 nonnegative entries) to nonzero integer coefficients.  Coefficients are
 plain Python ints, so all arithmetic is exact and overflow-free.  Variable
 indices are 1-based throughout the public API: ``divided_difference(f, 2)``
-acts on the pair (x_2, x_3).
+acts on the pair (x_2, x_3).  The divided difference is expanded in closed
+form, one monomial at a time.
+
+Polynomials are immutable: ``terms`` is a read-only view, so a polynomial
+handed out by the key-polynomial memo cannot be changed by its caller.
+Arithmetic on valid polynomials builds its results without revalidating
+every term.
 
 The module also provides the key polynomial of a composition, computed by
 the standard recursion: a weakly decreasing alpha gives the monomial
@@ -18,6 +24,7 @@ True
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from types import MappingProxyType
 
 __all__ = [
     "SparsePolynomial",
@@ -32,8 +39,7 @@ class SparsePolynomial:
     """Immutable sparse polynomial over the integers.
 
     ``terms`` never stores a zero coefficient and every key has length
-    ``n``.  Instances should be treated as frozen; all operations return
-    new polynomials.
+    ``n``.  All operations return new polynomials.
     """
 
     __slots__ = ("n", "_terms")
@@ -53,6 +59,16 @@ class SparsePolynomial:
                 if coeff != 0:
                     clean[exp] = coeff
         self._terms = clean
+
+    @classmethod
+    def _unchecked(cls, n: int, terms: dict[tuple[int, ...], int]) -> SparsePolynomial:
+        """Wrap a term dict that already satisfies the invariants (keys of
+        length n, nonnegative exponents, no zero coefficient) and that no
+        one else holds.  For arithmetic on valid polynomials only."""
+        obj = cls.__new__(cls)
+        obj.n = n
+        obj._terms = terms
+        return obj
 
     @classmethod
     def zero(cls, n: int) -> SparsePolynomial:
@@ -77,9 +93,9 @@ class SparsePolynomial:
         return cls(n, {tuple(exp): 1})
 
     @property
-    def terms(self) -> dict[tuple[int, ...], int]:
-        """The term map.  Do not mutate."""
-        return self._terms
+    def terms(self) -> Mapping[tuple[int, ...], int]:
+        """A read-only view of the term map."""
+        return MappingProxyType(self._terms)
 
     def coefficient(self, exponent: Sequence[int]) -> int:
         return self._terms.get(tuple(exponent), 0)
@@ -107,17 +123,18 @@ class SparsePolynomial:
                 out[exp] = total
             else:
                 out.pop(exp, None)
-        return SparsePolynomial(self.n, out)
+        return SparsePolynomial._unchecked(self.n, out)
 
     def __neg__(self) -> SparsePolynomial:
-        return SparsePolynomial(self.n, {e: -c for e, c in self._terms.items()})
+        return SparsePolynomial._unchecked(self.n, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: SparsePolynomial) -> SparsePolynomial:
         return self + (-other)
 
     def __mul__(self, other: SparsePolynomial | int) -> SparsePolynomial:
         if isinstance(other, int):
-            return SparsePolynomial(self.n, {e: c * other for e, c in self._terms.items()})
+            scaled = {e: c * other for e, c in self._terms.items()} if other else {}
+            return SparsePolynomial._unchecked(self.n, scaled)
         self._check_same_vars(other)
         out: dict[tuple[int, ...], int] = {}
         for ea, ca in self._terms.items():
@@ -128,7 +145,7 @@ class SparsePolynomial:
                     out[exp] = total
                 else:
                     out.pop(exp, None)
-        return SparsePolynomial(self.n, out)
+        return SparsePolynomial._unchecked(self.n, out)
 
     __rmul__ = __mul__
 
@@ -140,7 +157,7 @@ class SparsePolynomial:
         for exp, coeff in self._terms.items():
             swapped = exp[:k] + (exp[k + 1], exp[k]) + exp[k + 2:]
             out[swapped] = coeff
-        return SparsePolynomial(self.n, out)
+        return SparsePolynomial._unchecked(self.n, out)
 
     def times_variable(self, i: int) -> SparsePolynomial:
         """Multiply by x_i."""
@@ -148,7 +165,7 @@ class SparsePolynomial:
             raise ValueError(f"variable index {i} out of range 1..{self.n}")
         k = i - 1
         out = {exp[:k] + (exp[k] + 1,) + exp[k + 1:]: c for exp, c in self._terms.items()}
-        return SparsePolynomial(self.n, out)
+        return SparsePolynomial._unchecked(self.n, out)
 
     def canonical_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms sorted by lexicographically decreasing exponent vector."""
@@ -177,40 +194,31 @@ class SparsePolynomial:
 
 
 def divided_difference(f: SparsePolynomial, i: int) -> SparsePolynomial:
-    """(f - s_i f) / (x_i - x_{i+1}), computed by exact synthetic division.
+    """(f - s_i f) / (x_i - x_{i+1}), expanded one monomial at a time.
 
-    The numerator is antisymmetric in x_i, x_{i+1}, so the division is
-    always exact; a nonzero remainder would mean a bug and trips an assert.
-    The quotient is found by treating the numerator as univariate in x_i
-    with coefficients that are polynomials in the remaining variables.
+    With x = a_i and y = a_{i+1}, the monomial x^a maps to the geometric
+    sum x_i^(x-1-t) x_{i+1}^(y+t) over t = 0 .. x-y-1 when x > y, to 0 when
+    x == y, and to minus the mirrored sum when x < y.  Terms of different
+    monomials are summed and zero coefficients dropped.
     """
     f._check_operator_index(i)
-    numerator = f - f.swap_variables(i)
-    if numerator.is_zero():
-        return SparsePolynomial.zero(f.n)
-    k = i - 1
-    by_degree: dict[int, dict[tuple[int, ...], int]] = {}
-    for exp, coeff in numerator.terms.items():
-        rest = exp[:k] + (0,) + exp[k + 1:]
-        by_degree.setdefault(exp[k], {})[rest] = coeff
-    top = max(by_degree)
-
+    k = i - 1  # 0-based positions k and i hold the exponents of x_i, x_{i+1}
     out: dict[tuple[int, ...], int] = {}
-
-    def emit(coeffs: dict[tuple[int, ...], int], degree: int) -> None:
-        for rest, c in coeffs.items():
-            out[rest[:k] + (degree,) + rest[k + 1:]] = c
-
-    # Synthetic division by (x_i - x_{i+1}): working top down, the running
-    # carry b satisfies b_{d-1} = c_d and b_{r-1} = c_r + x_{i+1} * b_r.
-    carry = dict(by_degree[top])
-    emit(carry, top - 1)
-    for deg in range(top - 1, 0, -1):
-        carry = _add_terms(by_degree.get(deg, {}), _bump(carry, k + 1))
-        emit(carry, deg - 1)
-    remainder = _add_terms(by_degree.get(0, {}), _bump(carry, k + 1))
-    assert not remainder, "antisymmetric numerator must be exactly divisible"
-    return SparsePolynomial(f.n, out)
+    get = out.get
+    for exp, coeff in f._terms.items():
+        x = exp[k]
+        y = exp[i]
+        if x == y:
+            continue
+        if x < y:
+            x, y = y, x
+            coeff = -coeff
+        head = exp[:k]
+        tail = exp[i + 1:]
+        for t in range(x - y):
+            e = head + (x - 1 - t, y + t) + tail
+            out[e] = get(e, 0) + coeff
+    return SparsePolynomial._unchecked(f.n, {e: c for e, c in out.items() if c})
 
 
 def demazure(f: SparsePolynomial, i: int) -> SparsePolynomial:
@@ -257,19 +265,3 @@ def _key_recursive(a: tuple[int, ...], pivot: str) -> SparsePolynomial:
 def exponent_vectors(f: SparsePolynomial) -> set[tuple[int, ...]]:
     """The set of exponent vectors of f."""
     return f.exponents()
-
-
-def _add_terms(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]) -> dict:
-    out = dict(a)
-    for exp, coeff in b.items():
-        total = out.get(exp, 0) + coeff
-        if total:
-            out[exp] = total
-        else:
-            out.pop(exp, None)
-    return out
-
-
-def _bump(terms: dict[tuple[int, ...], int], index: int) -> dict:
-    """Multiply a term dict by the variable at 0-based ``index``."""
-    return {exp[:index] + (exp[index] + 1,) + exp[index + 1:]: c for exp, c in terms.items()}

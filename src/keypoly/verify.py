@@ -197,10 +197,9 @@ def suite_rado(n_max: int, part_max: int, pair_sum_cap: int = _PAIR_SUM_CAP) -> 
         n = n_max
         for total in range(pair_sum_cap + 1):
             parts = list(_partitions(total, total, n))
-            for mu in parts:
-                p_mu = VPolytope.from_points(n, set(permutations(mu)))
-                for lam in parts:
-                    p_lam = VPolytope.from_points(n, set(permutations(lam)))
+            polytopes = [VPolytope.from_points(n, set(permutations(p))) for p in parts]
+            for mu, p_mu in zip(parts, polytopes):
+                for lam, p_lam in zip(parts, polytopes):
                     subset = polytope_subset(p_mu, p_lam)
                     dominated = dominance_leq(mu, lam)
                     agree = subset == dominated

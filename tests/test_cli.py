@@ -1,7 +1,12 @@
 """CLI behavior: JSON output, parser round-trips, exit codes, verify."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import keypoly
 from keypoly.cli import main
 from keypoly.diagram import skyline
 from keypoly.filling import Filling, enumerate_fillings, optimize, row_index_filling
@@ -219,6 +224,18 @@ class TestVerify:
             for s in r["suites"]:
                 s["wall_time_s"] = None
         assert ra == rb
+
+    def test_verify_passes_without_asserts(self, tmp_path):
+        # python -O strips assert statements; every invariant must still hold
+        src = str(Path(keypoly.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path, "REPORT_DIR": str(tmp_path)}
+        script = "from keypoly.cli import main; raise SystemExit(main(['verify', '--n', '3', '--parts', '3']))"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert json.loads((tmp_path / "report.json").read_text())["passed"] is True
 
 
 class TestUsage:

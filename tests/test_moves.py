@@ -1,10 +1,17 @@
-"""Tests for the moves, the reachability closure, and dominance."""
+"""Tests for the moves, the reachability closure, and dominance.
+
+The BFS in ``keypoly.moves`` scans moves on plain tuples; the reference
+search below builds every edge from the public ``legal_moves`` and
+``apply_move`` instead, so the two share no move logic.
+"""
 
 import random
+from collections import deque
 from itertools import permutations, product
 
 import pytest
 
+from keypoly import moves
 from keypoly.moves import (
     Move,
     MoveChain,
@@ -18,6 +25,32 @@ from keypoly.moves import (
     leq_kappa,
 )
 from keypoly.polynomial import exponent_vectors, key_polynomial
+
+
+def reference_bfs_parents(alpha):
+    """BFS from alpha over legal_moves/apply_move; maps each reachable
+    vector to its (parent, Move), alpha to None, in discovery order."""
+    parents = {alpha: None}
+    queue = deque([alpha])
+    while queue:
+        v = queue.popleft()
+        for mv in legal_moves(v):
+            w = apply_move(v, mv)
+            if w not in parents:
+                parents[w] = (v, mv)
+                queue.append(w)
+    return parents
+
+
+def kernel_parents_as_moves(alpha):
+    """The kernel's parent map with each step rebuilt as (parent, Move)."""
+    return [
+        (w, None if step is None else (step[0], Move(*step[1:])))
+        for w, step in moves._bfs_parents(alpha).items()
+    ]
+
+
+SMALL_ALPHAS = [a for n in range(1, 5) for a in product(range(5), repeat=n)]
 
 
 class TestMove:
@@ -83,6 +116,38 @@ class TestClosure:
     def test_discovery_order_is_bfs(self):
         assert closure_order((0, 2)) == [(0, 2), (2, 0), (1, 1)]
 
+    def test_kernel_matches_reference_search(self):
+        # identical discovery order and identical (parent, move) per vector
+        for alpha in SMALL_ALPHAS + [(0, 1, 2, 3, 4)]:
+            expected = reference_bfs_parents(alpha)
+            assert kernel_parents_as_moves(alpha) == list(expected.items()), alpha
+            lo, hi, total = min(alpha), max(alpha), sum(alpha)
+            for v in expected:
+                assert sum(v) == total and all(lo <= x <= hi for x in v), (alpha, v)
+
+    def test_returned_sets_are_fresh_copies(self):
+        # the search is memoized; callers must not be able to edit the memo
+        alpha = (1, 3, 2)
+        closure(alpha).add((9, 9, 9))
+        closure_order(alpha).clear()
+        assert (9, 9, 9) not in closure(alpha)
+        assert len(closure_order(alpha)) == 5
+
+    def test_non_integer_entries_rejected(self):
+        closure((1, 2))
+        for call in (closure, closure_order, lambda v: leq_kappa((2, 1), v)):
+            with pytest.raises(TypeError):
+                call((1.0, 2.0))
+
+    def test_closure_then_queries_search_once(self):
+        alpha = (0, 2, 1, 3)
+        moves._bfs_parents.cache_clear()
+        reach = closure(alpha)
+        for beta in sorted(reach)[:3]:
+            assert leq_kappa(beta, alpha)[0]
+        info = moves._bfs_parents.cache_info()
+        assert (info.misses, info.hits, info.maxsize) == (1, 3, 1)
+
     def test_sum_and_range_preserved(self):
         rng = random.Random(11)
         for _ in range(30):
@@ -110,6 +175,17 @@ class TestLeqKappa:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             leq_kappa((1, 2), (1, 2, 3))
+
+    def test_chains_follow_reference_parents(self):
+        alpha = (0, 1, 2, 3)
+        parents = reference_bfs_parents(alpha)
+        for beta in closure(alpha):
+            path = []
+            node = beta
+            while parents[node] is not None:
+                node, mv = parents[node]
+                path.append(mv)
+            assert leq_kappa(beta, alpha) == (True, MoveChain(alpha, tuple(reversed(path))))
 
     def test_all_witness_chains_replay(self):
         for n in range(1, 4):

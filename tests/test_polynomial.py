@@ -1,9 +1,10 @@
 """Tests for exact polynomial arithmetic and the operator algebra.
 
-The divided difference has two independent oracles here: a closed-form
-per-monomial expansion (a telescoping geometric sum in the two affected
-variables) and the multiply-back identity q * (x_i - x_{i+1}) == f - s_i f.
-Neither shares code with the synthetic-division implementation.
+The divided difference has three oracles here: synthetic division of the
+antisymmetric numerator f - s_i f by x_i - x_{i+1}, a closed-form
+per-monomial expansion built through the public arithmetic, and the
+multiply-back identity q * (x_i - x_{i+1}) == f - s_i f.  None shares code
+with the implementation's in-place geometric-sum expansion.
 """
 
 import random
@@ -46,6 +47,71 @@ def dd_oracle(f: SparsePolynomial, i: int) -> SparsePolynomial:
     return out
 
 
+def reference_divided_difference(f: SparsePolynomial, i: int) -> SparsePolynomial:
+    """(f - s_i f) / (x_i - x_{i+1}) by exact synthetic division.
+
+    The numerator is treated as univariate in x_i with coefficients that
+    are polynomials in the remaining variables; a nonzero remainder fails
+    the test.
+    """
+    numerator = f - f.swap_variables(i)
+    if numerator.is_zero():
+        return SparsePolynomial.zero(f.n)
+    k = i - 1
+    by_degree = {}
+    for exp, coeff in numerator.terms.items():
+        rest = exp[:k] + (0,) + exp[k + 1:]
+        by_degree.setdefault(exp[k], {})[rest] = coeff
+    top = max(by_degree)
+    out = {}
+
+    def emit(coeffs, degree):
+        for rest, c in coeffs.items():
+            out[rest[:k] + (degree,) + rest[k + 1:]] = c
+
+    # working top down, the running carry b satisfies b_{d-1} = c_d and
+    # b_{r-1} = c_r + x_{i+1} * b_r
+    carry = dict(by_degree[top])
+    emit(carry, top - 1)
+    for deg in range(top - 1, 0, -1):
+        carry = _add_terms(by_degree.get(deg, {}), _bump(carry, k + 1))
+        emit(carry, deg - 1)
+    remainder = _add_terms(by_degree.get(0, {}), _bump(carry, k + 1))
+    assert not remainder, "antisymmetric numerator must be exactly divisible"
+    return SparsePolynomial(f.n, out)
+
+
+def _add_terms(a, b):
+    out = dict(a)
+    for exp, coeff in b.items():
+        total = out.get(exp, 0) + coeff
+        if total:
+            out[exp] = total
+        else:
+            out.pop(exp, None)
+    return out
+
+
+def _bump(terms, index):
+    """Multiply a term dict by the variable at 0-based ``index``."""
+    return {exp[:index] + (exp[index] + 1,) + exp[index + 1:]: c for exp, c in terms.items()}
+
+
+def reference_key(alpha, pivot, memo):
+    """The key polynomial by the pi_i recursion over the reference
+    divided difference."""
+    if alpha not in memo:
+        ascents = [k for k in range(len(alpha) - 1) if alpha[k] < alpha[k + 1]]
+        if not ascents:
+            memo[alpha] = mono(*alpha)
+        else:
+            k = ascents[0] if pivot == "leftmost" else ascents[-1]
+            swapped = alpha[:k] + (alpha[k + 1], alpha[k]) + alpha[k + 2:]
+            below = reference_key(swapped, pivot, memo)
+            memo[alpha] = reference_divided_difference(below.times_variable(k + 1), k + 1)
+    return memo[alpha]
+
+
 def rand_poly(rng: random.Random, n=4, max_terms=10, max_deg=5) -> SparsePolynomial:
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -74,6 +140,14 @@ class TestSparsePolynomial:
     def test_negative_exponent(self):
         with pytest.raises(ValueError):
             SparsePolynomial(2, {(-1, 0): 1})
+
+    def test_terms_are_read_only(self):
+        before = dict(key_polynomial((0, 1)).terms)
+        with pytest.raises(TypeError):
+            key_polynomial((0, 1)).terms[(5, 5)] = 1
+        with pytest.raises(TypeError):
+            key_polynomial((0, 1)).terms[(1, 0)] = 7
+        assert dict(key_polynomial((0, 1)).terms) == before == {(1, 0): 1, (0, 1): 1}
 
     def test_arithmetic(self):
         x1 = SparsePolynomial.variable(2, 1)
@@ -128,6 +202,23 @@ class TestDividedDifference:
             f = rand_poly(rng)
             i = rng.randint(1, f.n - 1)
             assert divided_difference(f, i) == dd_oracle(f, i)
+
+    def test_matches_synthetic_division(self):
+        # n 2..5, degrees up to 10, negative coefficients, and inputs
+        # symmetric in x_i, x_{i+1} (f + s_i f) whose divided difference
+        # cancels to zero
+        rng = random.Random(606)
+        zeros = 0
+        for _ in range(300):
+            n = rng.randint(2, 5)
+            f = rand_poly(rng, n=n, max_terms=12, max_deg=rng.randint(2, 10))
+            i = rng.randint(1, n - 1)
+            if rng.random() < 0.2:
+                f = f + f.swap_variables(i)
+            got = divided_difference(f, i)
+            assert got == reference_divided_difference(f, i), (f, i)
+            zeros += got.is_zero()
+        assert zeros >= 30
 
     def test_multiply_back_identity(self):
         # q * (x_i - x_{i+1}) must reproduce the numerator exactly
@@ -211,6 +302,14 @@ class TestKeyPolynomial:
         for n in range(1, 5):
             for alpha in product(range(5), repeat=n):
                 assert key_polynomial(alpha) == key_polynomial(alpha, pivot="rightmost")
+
+    def test_matches_synthetic_division_keys(self):
+        for pivot in ("leftmost", "rightmost"):
+            memo = {}
+            for n in range(1, 5):
+                for alpha in product(range(5), repeat=n):
+                    expected = reference_key(alpha, pivot, memo)
+                    assert key_polynomial(alpha, pivot=pivot) == expected, (alpha, pivot)
 
     def test_alpha_is_an_exponent_with_coefficient_one(self):
         for n in range(1, 5):
