@@ -20,6 +20,7 @@ from .diagram import (
     Diagram,
     diagram_leq,
     enumerate_lower_diagrams,
+    lower_monomials,
     lower_subsets,
     monomial_of_diagram,
     skyline,
@@ -37,6 +38,7 @@ from .filling import (
     sort_columns,
     swap_values,
     weight,
+    weight_set,
     witness_filling,
 )
 from .moves import (
@@ -83,9 +85,11 @@ __all__ = [
     "diagram_leq",
     "lower_subsets",
     "enumerate_lower_diagrams",
+    "lower_monomials",
     "monomial_of_diagram",
     "Filling",
     "weight",
+    "weight_set",
     "row_index_filling",
     "enumerate_fillings",
     "enumerate_sorted_fillings",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import product
 
 __all__ = [
     "Diagram",
@@ -19,6 +20,7 @@ __all__ = [
     "diagram_leq",
     "lower_subsets",
     "enumerate_lower_diagrams",
+    "lower_monomials",
     "monomial_of_diagram",
 ]
 
@@ -105,20 +107,9 @@ def lower_subsets(s: Sequence[int], n: int) -> list[tuple[int, ...]]:
     Built directly: r_1 < r_2 < ... with r_k <= s_k, which enumerates the
     lower set without scanning all size-|s| subsets.
     """
-    bounds = sorted(s)
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int], k: int) -> None:
-        if k == len(bounds):
-            out.append(tuple(prefix))
-            return
-        start = prefix[-1] + 1 if prefix else 1
-        for value in range(start, bounds[k] + 1):
-            prefix.append(value)
-            extend(prefix, k + 1)
-            prefix.pop()
-
-    extend([], 0)
+    out: list[tuple[int, ...]] = [()]
+    for bound in sorted(s):
+        out = [r + (v,) for r in out for v in range(r[-1] + 1 if r else 1, bound + 1)]
     return out
 
 
@@ -126,21 +117,38 @@ def enumerate_lower_diagrams(d: Diagram) -> Iterator[Diagram]:
     """All diagrams c with diagram_leq(c, d), each exactly once.
 
     Columns vary independently, so the lower set is the Cartesian product
-    of per-column lower sets; columns advance left to right with each
-    column's candidates in lex order.
+    of per-column lower sets; columns advance left to right (the last
+    column fastest) with each column's candidates in lex order.
     """
     per_column = [lower_subsets(col, d.n) for col in d.columns]
+    for columns in product(*per_column):
+        yield Diagram(d.n, columns)
 
-    def build(j: int, chosen: list[tuple[int, ...]]) -> Iterator[Diagram]:
-        if j == d.n:
-            yield Diagram(d.n, tuple(chosen))
-            return
-        for candidate in per_column[j]:
-            chosen.append(candidate)
-            yield from build(j + 1, chosen)
-            chosen.pop()
 
-    yield from build(0, [])
+def lower_monomials(d: Diagram) -> set[tuple[int, ...]]:
+    """``{monomial_of_diagram(c) for c in enumerate_lower_diagrams(d)}``,
+    built as the Minkowski sum over columns of the lower subsets' row
+    indicators, since columns vary independently; no diagram is built."""
+    return _indicator_sumset(d.n, [lower_subsets(col, d.n) for col in d.columns])
+
+
+def _indicator_sumset(n: int, columns: Sequence[Iterable[Sequence[int]]]) -> set[tuple[int, ...]]:
+    """Minkowski sum over columns of {indicator(s) for s in column}.
+
+    Each s lists distinct indices in 1..n.  Vectors are packed into one
+    int, coordinate i as the base-b digit of weight b**(n - i), so adding
+    two vectors is one int addition.  With b one more than the number of
+    columns no digit carries, since each column adds at most 1 to a
+    coordinate.  The sum is folded in column by column, deduplicating
+    after each, and unpacked to tuples once at the end.
+    """
+    base = len(columns) + 1
+    place = [base ** (n - i) for i in range(1, n + 1)]
+    sums = {0}
+    for column in columns:
+        steps = {sum(place[i - 1] for i in s) for s in column}
+        sums = {total + step for total in sums for step in steps}
+    return {tuple(packed // p % base for p in place) for packed in sums}
 
 
 def monomial_of_diagram(c: Diagram) -> tuple[int, ...]:

@@ -11,6 +11,8 @@ here works column by column.
 
 Beyond enumeration this module implements:
 
+* ``weight_set``, the weights of all fillings as a Minkowski sum of
+  per-column value-set indicators, without building any filling;
 * ``optimize``, which pulls each value that is both present in a column
   and a row index of that column into its home box, preserving weight;
 * ``lemma_step``, one descent step on a skyline filling whose weight
@@ -25,13 +27,15 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import product
 
-from .diagram import Diagram, lower_subsets, monomial_of_diagram, skyline
+from .diagram import Diagram, _indicator_sumset, lower_subsets, monomial_of_diagram, skyline
 from .moves import Move, MoveChain, apply_move
 
 __all__ = [
     "Filling",
     "weight",
+    "weight_set",
     "row_index_filling",
     "enumerate_fillings",
     "enumerate_sorted_fillings",
@@ -127,19 +131,9 @@ def _column_assignments(rows: Sequence[int]) -> list[tuple[int, ...]]:
     are distinct, so the k-th smallest row is at least k and the values
     1..k fit greedily.
     """
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int], k: int) -> None:
-        if k == len(rows):
-            out.append(tuple(prefix))
-            return
-        for value in range(1, rows[k] + 1):
-            if value not in prefix:
-                prefix.append(value)
-                extend(prefix, k + 1)
-                prefix.pop()
-
-    extend([], 0)
+    out: list[tuple[int, ...]] = [()]
+    for row in rows:
+        out = [prefix + (v,) for prefix in out for v in range(1, row + 1) if v not in prefix]
     return out
 
 
@@ -147,20 +141,12 @@ def enumerate_fillings(d: Diagram) -> Iterator[Filling]:
     """All column-strict flagged fillings of d, each exactly once.
 
     Columns are independent, so the fillings are the Cartesian product of
-    the per-column assignments, columns advancing left to right.
+    the per-column assignments, columns advancing left to right (the last
+    column fastest).
     """
     per_column = [_column_assignments(rows) for rows in d.columns]
-
-    def build(j: int, chosen: list[tuple[int, ...]]) -> Iterator[Filling]:
-        if j == d.n:
-            yield Filling(d, tuple(chosen))
-            return
-        for values in per_column[j]:
-            chosen.append(values)
-            yield from build(j + 1, chosen)
-            chosen.pop()
-
-    yield from build(0, [])
+    for columns in product(*per_column):
+        yield Filling(d, columns)
 
 
 def enumerate_sorted_fillings(d: Diagram) -> Iterator[Filling]:
@@ -171,17 +157,15 @@ def enumerate_sorted_fillings(d: Diagram) -> Iterator[Filling]:
     enumerated directly rather than by filtering enumerate_fillings.
     """
     per_column = [lower_subsets(rows, d.n) for rows in d.columns]
+    for columns in product(*per_column):
+        yield Filling(d, columns)
 
-    def build(j: int, chosen: list[tuple[int, ...]]) -> Iterator[Filling]:
-        if j == d.n:
-            yield Filling(d, tuple(chosen))
-            return
-        for values in per_column[j]:
-            chosen.append(values)
-            yield from build(j + 1, chosen)
-            chosen.pop()
 
-    yield from build(0, [])
+def weight_set(d: Diagram) -> set[tuple[int, ...]]:
+    """``{weight(f) for f in enumerate_fillings(d)}``, built as the
+    Minkowski sum over columns of the assignments' value-set indicators,
+    since columns are filled independently; no filling is built."""
+    return _indicator_sumset(d.n, [_column_assignments(rows) for rows in d.columns])
 
 
 def sort_columns(f: Filling) -> Filling:

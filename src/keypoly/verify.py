@@ -11,9 +11,14 @@ that the underlying theory says coincide:
                and permutohedron inclusion vs dominance
 * ``bruhat``   Newton polytopes of permutations vs interval polytopes
 
+``kk`` and ``ccc`` get their sets as columnwise sumsets (``lower_monomials``,
+``weight_set``) without building any diagram or filling; ``aa`` compares
+explicitly enumerated fillings.
+
 A suite fails iff some input exhibits a set inequality; failing outcomes
 record the symmetric difference.  All sweeps are deterministic (fixed
-enumeration orders, fixed RNG seed), so reports are reproducible.
+enumeration orders, fixed RNG seed), so reports are reproducible apart
+from ``wall_time_s``.
 """
 
 from __future__ import annotations
@@ -24,16 +29,14 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 
 from .bruhat import longest_element, verify_qww0
-from .diagram import Diagram, enumerate_lower_diagrams, monomial_of_diagram, skyline
-from .filling import enumerate_fillings, enumerate_sorted_fillings, weight
+from .diagram import Diagram, lower_monomials, skyline
+from .filling import enumerate_fillings, enumerate_sorted_fillings, weight, weight_set
 from .moves import closure, dominance_leq, dominated_rearrangements, _partitions
 from .polynomial import exponent_vectors, key_polynomial
 from .polytope import VPolytope, lattice_points, polytope_subset
 from .worked_examples import GRID4_DIAGRAM
 
 __all__ = ["SUITE_NAMES", "SuiteResult", "VerificationReport", "run_verification"]
-
-SUITE_NAMES = ("kk", "ccc", "theorem11", "aa", "rado", "bruhat")
 
 _AA_SEED = 20240810
 _PAIR_SUM_CAP = 10
@@ -81,18 +84,14 @@ class VerificationReport:
         }
 
 
-def compositions(n: int, part_max: int):
-    """All length-n vectors with parts in 0..part_max, lexicographically."""
-    return product(range(part_max + 1), repeat=n)
-
-
 def composition_family(n_max: int, part_max: int, cap_parts_by_n: bool):
-    """The sweep family: lengths 1..n_max.  Suites that build skyline
-    diagrams cap parts at n, since larger parts leave the grid."""
+    """The sweep family: for n = 1..n_max, all length-n vectors with parts
+    in 0..cap, lexicographically.  The cap is part_max, or min(part_max, n)
+    for suites that build skyline diagrams, since larger parts leave the
+    grid."""
     for n in range(1, n_max + 1):
         cap = min(part_max, n) if cap_parts_by_n else part_max
-        for alpha in compositions(n, cap):
-            yield alpha
+        yield from product(range(cap + 1), repeat=n)
 
 
 def _set_outcome(label: dict, lhs: set, rhs: set) -> tuple[bool, dict]:
@@ -128,7 +127,7 @@ def _run_suite(name, description, iterator) -> SuiteResult:
 def suite_kk(n_max: int, part_max: int) -> SuiteResult:
     def run():
         for alpha in composition_family(n_max, part_max, cap_parts_by_n=True):
-            lower = {monomial_of_diagram(c) for c in enumerate_lower_diagrams(skyline(alpha))}
+            lower = lower_monomials(skyline(alpha))
             exps = exponent_vectors(key_polynomial(alpha))
             yield _set_outcome({"alpha": list(alpha)}, lower, exps)
 
@@ -138,7 +137,7 @@ def suite_kk(n_max: int, part_max: int) -> SuiteResult:
 def suite_ccc(n_max: int, part_max: int) -> SuiteResult:
     def run():
         for alpha in composition_family(n_max, part_max, cap_parts_by_n=True):
-            weights = {weight(f) for f in enumerate_fillings(skyline(alpha))}
+            weights = weight_set(skyline(alpha))
             exps = exponent_vectors(key_polynomial(alpha))
             yield _set_outcome({"alpha": list(alpha)}, weights, exps)
 
@@ -236,29 +235,30 @@ def suite_bruhat(n_max: int, slow: bool = False) -> SuiteResult:
     )
 
 
+# name -> suite(n_max, part_max, slow); the suites are looked up by name
+# at call time, so wrappers installed on this module's attributes apply.
+_SUITES = {
+    "kk": lambda n_max, part_max, slow: suite_kk(n_max, part_max),
+    "ccc": lambda n_max, part_max, slow: suite_ccc(n_max, part_max),
+    "theorem11": lambda n_max, part_max, slow: suite_theorem11(n_max, part_max),
+    "aa": lambda n_max, part_max, slow: suite_aa(n_max),
+    "rado": lambda n_max, part_max, slow: suite_rado(n_max, part_max),
+    "bruhat": lambda n_max, part_max, slow: suite_bruhat(n_max, slow=slow),
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_verification(
     n_max: int,
     part_max: int,
     suite_names: tuple[str, ...] = SUITE_NAMES,
     slow: bool = False,
 ) -> VerificationReport:
+    unknown = [name for name in suite_names if name not in _SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite {unknown[0]!r}; known: {SUITE_NAMES}")
     start = time.perf_counter()
-    results: list[SuiteResult] = []
-    for name in suite_names:
-        if name == "kk":
-            results.append(suite_kk(n_max, part_max))
-        elif name == "ccc":
-            results.append(suite_ccc(n_max, part_max))
-        elif name == "theorem11":
-            results.append(suite_theorem11(n_max, part_max))
-        elif name == "aa":
-            results.append(suite_aa(n_max))
-        elif name == "rado":
-            results.append(suite_rado(n_max, part_max))
-        elif name == "bruhat":
-            results.append(suite_bruhat(n_max, slow=slow))
-        else:
-            raise ValueError(f"unknown suite {name!r}; known: {SUITE_NAMES}")
+    results = [_SUITES[name](n_max, part_max, slow) for name in suite_names]
     elapsed = time.perf_counter() - start
     return VerificationReport(
         n_max=n_max,

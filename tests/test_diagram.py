@@ -13,12 +13,14 @@ from keypoly.diagram import (
     Diagram,
     diagram_leq,
     enumerate_lower_diagrams,
+    lower_monomials,
     lower_subsets,
     monomial_of_diagram,
     skyline,
     subset_leq,
 )
 from keypoly.polynomial import exponent_vectors, key_polynomial
+from keypoly.worked_examples import GRID4_DIAGRAM, GRID5_DIAGRAM
 
 
 def lower_subsets_oracle(s, n):
@@ -129,6 +131,14 @@ class TestLowerSets:
         d = Diagram.make(3, [[], [], []])
         assert list(enumerate_lower_diagrams(d)) == [d]
 
+    def test_yield_order_leftmost_column_outermost(self):
+        # each column's candidates come in lex order and the last column
+        # varies fastest, so the column sequences come out sorted
+        rng = random.Random(9)
+        for d in [skyline((1, 2, 0, 1)), skyline((0, 3, 2, 3))] + [random_diagram(rng, 4) for _ in range(10)]:
+            seen = [c.columns for c in enumerate_lower_diagrams(d)]
+            assert seen == sorted(seen)
+
     def test_no_duplicates_and_all_below(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -170,3 +180,29 @@ class TestLowerDiagramMonomials:
             for alpha in product(range(min(n, 4) + 1), repeat=n):
                 got = {monomial_of_diagram(c) for c in enumerate_lower_diagrams(skyline(alpha))}
                 assert got == exponent_vectors(key_polynomial(alpha)), alpha
+
+
+class TestLowerMonomials:
+    """lower_monomials against the explicit enumeration of lower diagrams."""
+
+    @staticmethod
+    def enumerated(d):
+        return {monomial_of_diagram(c) for c in enumerate_lower_diagrams(d)}
+
+    def test_every_skyline_up_to_n4(self):
+        for n in range(1, 5):
+            for alpha in product(range(n + 1), repeat=n):
+                d = skyline(alpha)
+                assert lower_monomials(d) == self.enumerated(d), alpha
+
+    def test_worked_grids(self):
+        for d in (GRID4_DIAGRAM, GRID5_DIAGRAM):
+            assert lower_monomials(d) == self.enumerated(d)
+
+    def test_random_diagrams_up_to_5x5(self, sumset_diagrams):
+        for d in sumset_diagrams:
+            assert lower_monomials(d) == self.enumerated(d), d.columns
+
+    def test_full_grid_sends_every_coordinate_to_n(self):
+        for n in range(1, 6):
+            assert lower_monomials(Diagram.make(n, [range(1, n + 1)] * n)) == {(n,) * n}

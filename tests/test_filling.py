@@ -23,6 +23,7 @@ from keypoly.filling import (
     sort_columns,
     swap_values,
     weight,
+    weight_set,
     witness_filling,
 )
 from keypoly.moves import Move, MoveChain, MoveError, apply_move, closure, leq_kappa
@@ -156,6 +157,15 @@ class TestEnumeration:
         d = skyline((0, 1))
         assert set(enumerate_sorted_fillings(d)) == set(enumerate_fillings(d))
 
+    def test_yield_order_leftmost_column_outermost(self):
+        # each column's tuples come in lex order and the last column
+        # varies fastest, so the column sequences come out sorted
+        for d in [skyline((1, 3, 2)), skyline((0, 2, 2)), skyline((0, 3, 2, 3)), GRID4_DIAGRAM]:
+            for enumerate_ in (enumerate_fillings, enumerate_sorted_fillings):
+                seen = [f.columns for f in enumerate_(d)]
+                assert seen == sorted(seen)
+                assert len(seen) == len(set(seen))
+
 
 class TestWeight:
     def test_row_index_filling_weight_is_alpha(self):
@@ -193,6 +203,32 @@ class TestWeightSetsCoincide:
             assert {weight(f) for f in enumerate_fillings(d)} == {
                 weight(f) for f in enumerate_sorted_fillings(d)
             }
+
+
+class TestWeightSet:
+    """weight_set against the explicit enumeration of every filling."""
+
+    @staticmethod
+    def enumerated(d: Diagram) -> set[tuple[int, ...]]:
+        return {weight(f) for f in enumerate_fillings(d)}
+
+    def test_every_skyline_up_to_n4(self):
+        for n in range(1, 5):
+            for alpha in product(range(n + 1), repeat=n):
+                d = skyline(alpha)
+                assert weight_set(d) == self.enumerated(d), alpha
+
+    def test_worked_grids(self):
+        for d in (GRID4_DIAGRAM, GRID5_DIAGRAM):
+            assert weight_set(d) == self.enumerated(d)
+
+    def test_random_diagrams_up_to_5x5(self, sumset_diagrams):
+        for d in sumset_diagrams:
+            assert weight_set(d) == self.enumerated(d), d.columns
+
+    def test_full_grid_sends_every_coordinate_to_n(self):
+        for n in range(1, 6):
+            assert weight_set(Diagram.make(n, [range(1, n + 1)] * n)) == {(n,) * n}
 
 
 class TestFillingWeightsMatchKeyExponents:
