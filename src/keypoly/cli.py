@@ -4,6 +4,10 @@ Compositions are written as comma-separated nonnegative integers with no
 brackets, e.g. ``keypoly key 1,3,2``.  Output is JSON on stdout, compact
 by default and indented with --pretty.  Exit codes: 0 success / verified,
 1 verified-false (an honest negative answer), 2 usage or parse error.
+
+Each subcommand is one handler that takes the parsed arguments and
+returns ``(payload, exit_code)``; a ``str`` payload is printed as is, any
+other is printed as JSON.
 """
 
 from __future__ import annotations
@@ -22,25 +26,66 @@ from .verify import SUITE_NAMES, run_verification
 __all__ = ["main", "console_main"]
 
 
-class _UsageError(Exception):
-    pass
-
-
-def _parse_composition(text: str) -> tuple[int, ...]:
+def _composition(text: str) -> tuple[int, ...]:
     try:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise _UsageError(f"cannot parse composition {text!r}") from None
+        raise argparse.ArgumentTypeError(f"cannot parse composition {text!r}") from None
     if any(p < 0 for p in parts):
-        raise _UsageError(f"composition parts must be nonnegative: {text!r}")
+        raise argparse.ArgumentTypeError(f"composition parts must be nonnegative: {text!r}")
     return parts
 
 
-def _emit(payload, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(payload, indent=2))
+def _key(args):
+    return key_polynomial(args.alpha).to_json_dict(), 0
+
+
+def _exponents(args):
+    exps = sorted(key_polynomial(args.alpha).exponents(), reverse=True)
+    return [list(e) for e in exps], 0
+
+
+def _closure(args):
+    return [list(v) for v in closure_order(args.alpha)], 0
+
+
+def _check(args):
+    ok, chain = leq_kappa(args.beta, args.alpha)
+    return (chain.to_json_dict(), 0) if ok else ("not ≤_κ", 1)
+
+
+def _fillings(args):
+    d = skyline(args.alpha)
+    source = enumerate_sorted_fillings(d) if args.increasing else enumerate_fillings(d)
+    return [f.to_json_dict() for f in source], 0
+
+
+def _opt(args):
+    if args.path == "-":
+        data = json.load(sys.stdin)
     else:
-        print(json.dumps(payload, separators=(",", ":")))
+        with open(args.path) as handle:
+            data = json.load(handle)
+    return optimize(Filling.from_json_dict(data)).to_json_dict(), 0
+
+
+def _verify(args):
+    if args.n_max > 5 and not args.force:
+        raise ValueError("--n beyond 5 needs --force")
+    if args.n_max < 1 or args.part_max < 0:
+        raise ValueError("--n must be >= 1 and --parts >= 0")
+    names = SUITE_NAMES if not args.suite or "all" in args.suite else tuple(args.suite)
+    report = run_verification(args.n_max, args.part_max, names, slow=args.slow)
+    with open(args.out, "w") as handle:
+        json.dump(report.to_json_dict(), handle, indent=2)
+        handle.write("\n")
+    summary = {
+        "passed": report.passed,
+        "report": args.out,
+        "suites": {s.name: s.passed for s in report.suites},
+        "wall_time_s": round(report.wall_time_s, 3),
+    }
+    return summary, 0 if report.passed else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,31 +98,29 @@ def _build_parser() -> argparse.ArgumentParser:
     style.add_argument("--pretty", action="store_true", help="indented JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("key", help="key polynomial of a composition")
-    p.add_argument("alpha")
+    def command(name, run, help_text, *compositions):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        for arg in compositions:
+            p.add_argument(arg, type=_composition)
+        return p
 
-    p = sub.add_parser("exponents", help="exponent vectors of the key polynomial")
-    p.add_argument("alpha")
+    command("key", _key, "key polynomial of a composition", "alpha")
+    command("exponents", _exponents, "exponent vectors of the key polynomial", "alpha")
+    command("closure", _closure, "all vectors reachable by legal moves", "alpha")
+    command("check", _check, "decide reachability and print a witness chain", "beta", "alpha")
 
-    p = sub.add_parser("closure", help="all vectors reachable by legal moves")
-    p.add_argument("alpha")
-
-    p = sub.add_parser("check", help="decide reachability and print a witness chain")
-    p.add_argument("beta")
-    p.add_argument("alpha")
-
-    p = sub.add_parser("fillings", help="column-strict flagged fillings of the skyline diagram")
-    p.add_argument("alpha")
+    p = command("fillings", _fillings, "column-strict flagged fillings of the skyline diagram", "alpha")
     p.add_argument(
         "--increasing",
         action="store_true",
         help="only fillings whose columns increase top to bottom",
     )
 
-    p = sub.add_parser("opt", help="optimize a filling given as JSON (file or - for stdin)")
+    p = command("opt", _opt, "optimize a filling given as JSON (file or - for stdin)")
     p.add_argument("path")
 
-    p = sub.add_parser("verify", help="run the cross-check suites and write report.json")
+    p = command("verify", _verify, "run the cross-check suites and write report.json")
     p.add_argument("--n", type=int, default=3, dest="n_max")
     p.add_argument("--parts", type=int, default=3, dest="part_max")
     p.add_argument(
@@ -88,7 +131,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--slow", action="store_true", help="extend the bruhat sweep to S_5")
     p.add_argument("--force", action="store_true", help="allow --n beyond 5")
-    p.add_argument("--out", help="report path (default $REPORT_DIR/report.json)")
+    p.add_argument(
+        "--out",
+        default=os.path.join(os.environ.get("REPORT_DIR", "."), "report.json"),
+        help="report path (default $REPORT_DIR/report.json)",
+    )
 
     return parser
 
@@ -101,87 +148,18 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return int(exc.code or 0)
 
-    pretty = bool(args.pretty)
     try:
-        if args.command == "key":
-            alpha = _parse_composition(args.alpha)
-            _emit(key_polynomial(alpha).to_json_dict(), pretty)
-            return 0
-
-        if args.command == "exponents":
-            alpha = _parse_composition(args.alpha)
-            exps = sorted(key_polynomial(alpha).exponents(), reverse=True)
-            _emit([list(e) for e in exps], pretty)
-            return 0
-
-        if args.command == "closure":
-            alpha = _parse_composition(args.alpha)
-            _emit([list(v) for v in closure_order(alpha)], pretty)
-            return 0
-
-        if args.command == "check":
-            beta = _parse_composition(args.beta)
-            alpha = _parse_composition(args.alpha)
-            if len(beta) != len(alpha):
-                raise _UsageError("beta and alpha must have the same length")
-            ok, chain = leq_kappa(beta, alpha)
-            if not ok:
-                print("not ≤_κ")
-                return 1
-            _emit(chain.to_json_dict(), pretty)
-            return 0
-
-        if args.command == "fillings":
-            alpha = _parse_composition(args.alpha)
-            d = skyline(alpha)
-            source = enumerate_sorted_fillings(d) if args.increasing else enumerate_fillings(d)
-            _emit([f.to_json_dict() for f in source], pretty)
-            return 0
-
-        if args.command == "opt":
-            if args.path == "-":
-                data = json.load(sys.stdin)
-            else:
-                with open(args.path) as handle:
-                    data = json.load(handle)
-            result = optimize(Filling.from_json_dict(data))
-            _emit(result.to_json_dict(), pretty)
-            return 0
-
-        if args.command == "verify":
-            if args.n_max > 5 and not args.force:
-                raise _UsageError("--n beyond 5 needs --force")
-            if args.n_max < 1 or args.part_max < 0:
-                raise _UsageError("--n must be >= 1 and --parts >= 0")
-            names = tuple(args.suite) if args.suite else ("all",)
-            if "all" in names:
-                names = SUITE_NAMES
-            report = run_verification(args.n_max, args.part_max, names, slow=args.slow)
-            out_path = args.out
-            if out_path is None:
-                out_path = os.path.join(os.environ.get("REPORT_DIR", "."), "report.json")
-            with open(out_path, "w") as handle:
-                json.dump(report.to_json_dict(), handle, indent=2)
-                handle.write("\n")
-            _emit(
-                {
-                    "passed": report.passed,
-                    "report": out_path,
-                    "suites": {s.name: s.passed for s in report.suites},
-                    "wall_time_s": round(report.wall_time_s, 3),
-                },
-                pretty,
-            )
-            return 0 if report.passed else 1
-
-    except _UsageError as exc:
+        payload, code = args.run(args)
+        if isinstance(payload, str):
+            print(payload)
+        elif args.pretty:
+            print(json.dumps(payload, indent=2))
+        else:
+            print(json.dumps(payload, separators=(",", ":")))
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    raise AssertionError("unreachable")
+    return code
 
 
 def console_main() -> None:

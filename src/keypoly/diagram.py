@@ -105,11 +105,16 @@ def lower_subsets(s: Sequence[int], n: int) -> list[tuple[int, ...]]:
     """All size-|s| subsets r of 1..n with subset_leq(r, s), in lex order.
 
     Built directly: r_1 < r_2 < ... with r_k <= s_k, which enumerates the
-    lower set without scanning all size-|s| subsets.
+    lower set without scanning all size-|s| subsets.  Raises ValueError
+    when s repeats an entry or has one outside 1..n.
     """
     out: list[tuple[int, ...]] = [()]
+    prev = 0
     for bound in sorted(s):
+        if not prev < bound <= n:
+            raise ValueError(f"expected distinct entries in 1..{n}, got {tuple(s)}")
         out = [r + (v,) for r in out for v in range(r[-1] + 1 if r else 1, bound + 1)]
+        prev = bound
     return out
 
 

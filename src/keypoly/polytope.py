@@ -30,6 +30,7 @@ import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 from .polynomial import SparsePolynomial
 
@@ -250,34 +251,21 @@ def _check_separation(
 def lattice_points(p: VPolytope) -> set[tuple[int, ...]]:
     """All integer points of the hull.
 
-    Candidates are drawn from the per-coordinate min/max box; when every
-    generator has the same coordinate sum the search is further cut to
-    that hyperplane.  Each candidate is then settled by ``contains``.
+    Candidates are drawn from the per-coordinate min/max box, in lex
+    order; when every generator has the same coordinate sum, that sum
+    fixes the last coordinate, which must fall in its own range.  Each
+    candidate is then settled by ``contains``.
     """
-    mins, maxs = p._box
+    ranges = [range(lo, hi + 1) for lo, hi in zip(*p._box)]
     target = p._common_sum
-
-    found: set[tuple[int, ...]] = set()
-
-    def scan(k: int, prefix: list[int], remaining: int | None) -> None:
-        if k == p.n:
-            candidate = tuple(prefix)
-            if contains(p, candidate):
-                found.add(candidate)
-            return
-        lo, hi = mins[k], maxs[k]
-        if remaining is not None:
-            tail_lo = sum(mins[k + 1:])
-            tail_hi = sum(maxs[k + 1:])
-            lo = max(lo, remaining - tail_hi)
-            hi = min(hi, remaining - tail_lo)
-        for x in range(lo, hi + 1):
-            prefix.append(x)
-            scan(k + 1, prefix, None if remaining is None else remaining - x)
-            prefix.pop()
-
-    scan(0, [], target)
-    return found
+    if target is None or not ranges:
+        candidates = product(*ranges)
+    else:
+        last = ranges.pop()
+        candidates = (
+            (*head, x) for head in product(*ranges) if (x := target - sum(head)) in last
+        )
+    return {c for c in candidates if contains(p, c)}
 
 
 def snp_check(f: SparsePolynomial) -> bool:

@@ -53,15 +53,7 @@ class SuiteResult:
     outcomes: list[dict] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "passed": self.passed,
-            "checked": self.checked,
-            "wall_time_s": self.wall_time_s,
-            "failures": self.failures,
-            "outcomes": self.outcomes,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -74,14 +66,7 @@ class VerificationReport:
     suites: list[SuiteResult]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "part_max": self.part_max,
-            "slow": self.slow,
-            "passed": self.passed,
-            "wall_time_s": self.wall_time_s,
-            "suites": [s.to_json_dict() for s in self.suites],
-        }
+        return {**vars(self), "suites": [s.to_json_dict() for s in self.suites]}
 
 
 def composition_family(n_max: int, part_max: int, cap_parts_by_n: bool):
@@ -124,24 +109,27 @@ def _run_suite(name, description, iterator) -> SuiteResult:
     )
 
 
-def suite_kk(n_max: int, part_max: int) -> SuiteResult:
+def _skyline_suite(name: str, description: str, n_max: int, part_max: int, side) -> SuiteResult:
+    """Compare ``side(skyline(alpha))`` with the key exponents of alpha
+    over the skyline sweep."""
+
     def run():
         for alpha in composition_family(n_max, part_max, cap_parts_by_n=True):
-            lower = lower_monomials(skyline(alpha))
+            lhs = side(skyline(alpha))
             exps = exponent_vectors(key_polynomial(alpha))
-            yield _set_outcome({"alpha": list(alpha)}, lower, exps)
+            yield _set_outcome({"alpha": list(alpha)}, lhs, exps)
 
-    return _run_suite("kk", "lower-diagram monomials == key exponents", run())
+    return _run_suite(name, description, run())
+
+
+def suite_kk(n_max: int, part_max: int) -> SuiteResult:
+    return _skyline_suite(
+        "kk", "lower-diagram monomials == key exponents", n_max, part_max, lower_monomials
+    )
 
 
 def suite_ccc(n_max: int, part_max: int) -> SuiteResult:
-    def run():
-        for alpha in composition_family(n_max, part_max, cap_parts_by_n=True):
-            weights = weight_set(skyline(alpha))
-            exps = exponent_vectors(key_polynomial(alpha))
-            yield _set_outcome({"alpha": list(alpha)}, weights, exps)
-
-    return _run_suite("ccc", "filling weights == key exponents", run())
+    return _skyline_suite("ccc", "filling weights == key exponents", n_max, part_max, weight_set)
 
 
 def suite_theorem11(n_max: int, part_max: int) -> SuiteResult:

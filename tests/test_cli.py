@@ -1,5 +1,6 @@
 """CLI behavior: JSON output, parser round-trips, exit codes, verify."""
 
+import ast
 import json
 import os
 import subprocess
@@ -101,6 +102,12 @@ class TestCheck:
     def test_length_mismatch_exits_2(self, capsys):
         code, _, _ = run(capsys, ["check", "1,2", "1,2,3"])
         assert code == 2
+
+    def test_bad_alpha_exits_2_naming_it(self, capsys):
+        code, out, err = run(capsys, ["check", "1,2", "1,y"])
+        assert code == 2
+        assert out == ""
+        assert "'1,y'" in err
 
 
 class TestFillings:
@@ -209,6 +216,23 @@ class TestVerify:
         assert code == 2
         assert "--force" in err
 
+    def test_report_key_order(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        code, _, _ = run(capsys, ["verify", "--n", "2", "--parts", "1", "--out", str(path)])
+        assert code == 0
+        report = json.loads(path.read_text())
+        assert list(report) == ["n_max", "part_max", "slow", "passed", "wall_time_s", "suites"]
+        for suite in report["suites"]:
+            assert list(suite) == [
+                "name",
+                "description",
+                "passed",
+                "checked",
+                "wall_time_s",
+                "failures",
+                "outcomes",
+            ]
+
     def test_reports_are_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -236,6 +260,28 @@ class TestVerify:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert json.loads((tmp_path / "report.json").read_text())["passed"] is True
+
+
+def test_src_has_no_assert_statements():
+    # python -O strips assert statements, so no invariant may rest on one
+    package = Path(keypoly.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    for module in modules:
+        tree = ast.parse(module.read_text(), filename=str(module))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{module.name}: assert on lines {lines}"
+
+
+def test_package_exports_the_layers_all():
+    names = ("polynomial", "diagram", "filling", "moves", "polytope", "bruhat", "verify")
+    layers = [getattr(keypoly, name) for name in names]
+    assert keypoly.__all__ == [name for layer in layers for name in layer.__all__]
+    assert len(set(keypoly.__all__)) == len(keypoly.__all__)
+    for layer in layers:
+        for name in layer.__all__:
+            assert getattr(keypoly, name) is getattr(layer, name), name
+    assert keypoly.CertificateError is keypoly.polytope.CertificateError
 
 
 class TestUsage:

@@ -116,6 +116,11 @@ class TestLowerSets:
     def test_lower_subsets_of_124(self):
         assert lower_subsets((1, 2, 4), 4) == [(1, 2, 3), (1, 2, 4)]
 
+    def test_lower_subsets_rejects_entries_outside_grid_or_repeated(self):
+        for s, n in (((5,), 3), ((0, 1), 3), ((1, 4), 3), ((2, 2), 3)):
+            with pytest.raises(ValueError):
+                lower_subsets(s, n)
+
     def test_lower_diagram_count_for_1201(self):
         # per-column lower sets have sizes 2, 2, 1, 1
         d = skyline((1, 2, 0, 1))

@@ -227,6 +227,17 @@ class TestLatticePoints:
         p = VPolytope.from_points(2, [(0, 0), (2, 0), (0, 2), (2, 2)])
         assert lattice_points(p) == {(a, b) for a in range(3) for b in range(3)}
 
+    def test_zero_dimensional(self):
+        assert lattice_points(VPolytope.from_points(0, [()])) == {()}
+
+    def test_candidates_are_box_points_on_the_common_sum_in_lex_order(self, monkeypatch):
+        p = VPolytope.from_points(3, set(permutations((3, 1, 0))))
+        seen = []
+        real = polytope.contains
+        monkeypatch.setattr(polytope, "contains", lambda q, c: seen.append(c) or real(q, c))
+        lattice_points(p)
+        assert seen == [c for c in product(range(4), repeat=3) if sum(c) == 4]
+
 
 class TestSnp:
     def test_worked_key_polynomial(self):
