@@ -1,9 +1,36 @@
 """Exact convex-hull membership and lattice point enumeration.
 
 A polytope is given as the convex hull of finitely many integer generator
-points (a lattice V-representation).  A rational point p is scaled once to
-integer numerators over one common denominator den, and its membership is
-the feasibility of the integer system
+points (a lattice V-representation).
+
+Lattice points come LP-free whenever the hull certifies itself as a
+generalized permutahedron (Postnikov 2009), as every Newton polytope of a
+key polynomial does (Fink, Meszaros and St. Dizier 2018).  Its support
+values h(S) = max over generators g of sum_{i in S} g_i, one per subset S
+of the coordinates, describe the candidate H-polytope
+
+    sum_{i in S} x_i <= h(S)  for every S,   sum_i x_i = h([n]).
+
+``VPolytope.support`` returns h only after two exact checks: all
+generators share a coordinate sum, and each of the n! greedy vertices of
+h (Edmonds) is a generator.  Every generator satisfies the inequalities.
+Greedy vertices inside the hull make h submodular, and a submodular h
+has exactly the greedy vertices as the vertices of its H-polytope, so
+the checks prove that the hull equals the H-polytope.
+``lattice_points`` then enumerates the H-polytope coordinate by
+coordinate, each coordinate over the interval its prefix leaves open,
+and ``polytope_equal`` of two certified hulls compares their support
+values.  When a check fails, ``support`` is None and both fall
+back to the LP below; which path runs depends only on the generators.
+
+``contains`` and ``polytope_subset`` (hence the ``rado`` suite) always use
+the LP: for a permutohedron h(S) is the sum of the |S| largest parts, so
+its inequalities are dominance itself, and ``rado`` compares inclusion
+with dominance.
+
+For the LP, a rational point p is scaled once to integer numerators over
+one common denominator den, and its membership is the feasibility of the
+integer system
 
     lambda >= 0,  sum lambda_s = den,  sum lambda_s * s = den * p,
 
@@ -13,7 +40,7 @@ Bland's smallest-index pivoting rule rules out cycling, so the method
 terminates, and with exact arithmetic every answer is reproducible bit
 for bit.
 
-Every answer carries a certificate that is checked before it is
+Every LP answer carries a certificate that is checked before it is
 returned.  A "yes" is a nonnegative integer combination of the
 generators that sums to the point; a "no" is an integer Farkas vector,
 an inequality that every generator satisfies and the point violates.
@@ -29,8 +56,9 @@ import math
 import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
+from functools import cache, cached_property
+from itertools import permutations, product
+from operator import add, sub
 
 from .polynomial import SparsePolynomial
 
@@ -83,6 +111,49 @@ class VPolytope:
     @cached_property
     def _generator_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.generators)
+
+    @cached_property
+    def support(self) -> tuple[int, ...] | None:
+        """The support values h(S) = max over generators g of
+        sum_{i in S} g_i, indexed by the bitmask S (bit i for coordinate
+        i + 1), when they certify that the hull is the generalized
+        permutahedron they cut out; otherwise None.
+
+        The certificate holds when the generators share a coordinate sum
+        and every greedy vertex of h is a generator.  That makes h
+        submodular, the hypothesis of Edmonds' theorem: the greedy vertex
+        v of an ordering that starts with S, then i, then j lies in the
+        hull, so h(S+j) >= v(S+j) = h(S) + h(S+i+j) - h(S+i).
+        """
+        if self._common_sum is None:
+            return None
+        # sums[S] lists sum_{i in S} g_i for every generator g.
+        sums = [[0] * len(self.generators)]
+        for column in zip(*self.generators):
+            sums += [list(map(add, s, column)) for s in sums]
+        h = tuple(map(max, sums))
+        get = h.__getitem__
+        for upto, before in _greedy_chains(self.n):
+            if tuple(map(sub, map(get, upto), map(get, before))) not in self._generator_set:
+                return None
+        return h
+
+
+@cache
+def _greedy_chains(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """For every ordering of the n coordinates, the prefix bitmasks up to
+    and just before each coordinate i, so that coordinate i of that
+    ordering's greedy vertex is h(upto[i]) - h(before[i]).
+    """
+    chains = []
+    for order in permutations(range(n)):
+        before = [0] * n
+        prefix = 0
+        for i in order:
+            before[i] = prefix
+            prefix |= 1 << i
+        chains.append((tuple(b | 1 << i for i, b in enumerate(before)), tuple(before)))
+    return tuple(chains)
 
 
 def newton_polytope(f: SparsePolynomial) -> VPolytope:
@@ -251,11 +322,16 @@ def _check_separation(
 def lattice_points(p: VPolytope) -> set[tuple[int, ...]]:
     """All integer points of the hull.
 
-    Candidates are drawn from the per-coordinate min/max box, in lex
-    order; when every generator has the same coordinate sum, that sum
-    fixes the last coordinate, which must fall in its own range.  Each
-    candidate is then settled by ``contains``.
+    A certified hull (``p.support`` not None) is enumerated from its
+    H-representation, with no LP.  Otherwise candidates are drawn from
+    the per-coordinate min/max box, in lex order; when every generator
+    has the same coordinate sum, that sum fixes the last coordinate,
+    which must fall in its own range.  Each candidate is then settled by
+    ``contains``.
     """
+    h = p.support
+    if h is not None:
+        return _support_lattice_points(p.n, h)
     ranges = [range(lo, hi + 1) for lo, hi in zip(*p._box)]
     target = p._common_sum
     if target is None or not ranges:
@@ -266,6 +342,46 @@ def lattice_points(p: VPolytope) -> set[tuple[int, ...]]:
             (*head, x) for head in product(*ranges) if (x := target - sum(head)) in last
         )
     return {c for c in candidates if contains(p, c)}
+
+
+def _support_lattice_points(n: int, h: Sequence[int]) -> set[tuple[int, ...]]:
+    """Integer points x with sum(x) = h(all) and, for every bitmask S,
+    h(all) - h(all - S) <= x(S) <= h(S).
+
+    Coordinates are fixed left to right, depth first.  Given the fixed
+    prefix, the inequalities whose largest element is coordinate k
+    confine x_k to one interval, read off the sums of the prefix over
+    each of its subsets.  The sum fixes the last coordinate, and the
+    inequalities whose largest element it is are, through the sum, those
+    of the complementary sets, so every inequality holds once a point is
+    complete.
+    """
+    total = h[-1]
+    if n < 2:
+        return {(total,)} if n else {()}
+    full = (1 << n) - 1
+    # bounds[k]: upper and lower bounds of x(S) for S = {k} + s, indexed by
+    # the bitmask s of coordinates below k.
+    bounds = [
+        (h[1 << k : 2 << k], [total - h[full ^ s] for s in range(1 << k, 2 << k)])
+        for k in range(n - 1)
+    ]
+    points = set()
+
+    def extend(head: tuple[int, ...], sums: list[int]) -> None:
+        # sums[s] is the sum of head over the coordinates in bitmask s.
+        upper, lower = bounds[len(head)]
+        lo = max(map(sub, lower, sums))
+        hi = min(map(sub, upper, sums))
+        if len(head) == n - 2:
+            rest = total - sums[-1]
+            points.update((*head, x, rest - x) for x in range(lo, hi + 1))
+            return
+        for x in range(lo, hi + 1):
+            extend((*head, x), sums + [s + x for s in sums])
+
+    extend((), [0])
+    return points
 
 
 def snp_check(f: SparsePolynomial) -> bool:
@@ -284,5 +400,12 @@ def polytope_subset(p: VPolytope, q: VPolytope) -> bool:
 
 
 def polytope_equal(p: VPolytope, q: VPolytope) -> bool:
-    """Double generator-wise inclusion."""
+    """Whether the two hulls coincide.
+
+    Two certified hulls are their H-polytopes, so they are equal iff
+    their support values are; otherwise by double generator-wise
+    inclusion.
+    """
+    if p.n == q.n and p.support is not None and q.support is not None:
+        return p.support == q.support
     return polytope_subset(p, q) and polytope_subset(q, p)

@@ -34,7 +34,6 @@ from .filling import enumerate_fillings, enumerate_sorted_fillings, weight, weig
 from .moves import closure, dominance_leq, dominated_rearrangements, _partitions
 from .polynomial import exponent_vectors, key_polynomial
 from .polytope import VPolytope, lattice_points, polytope_subset
-from .worked_examples import GRID4_DIAGRAM
 
 __all__ = ["SUITE_NAMES", "SuiteResult", "VerificationReport", "run_verification"]
 
@@ -157,7 +156,8 @@ def random_diagram(rng: random.Random, n: int) -> Diagram:
 def suite_aa(n_max: int, random_count: int = 50, seed: int = _AA_SEED) -> SuiteResult:
     rng = random.Random(seed)
     cap = max(1, min(n_max, 4))
-    diagrams = [GRID4_DIAGRAM]
+    # A 4x4 diagram that is not left-justified, then random ones.
+    diagrams = [Diagram.make(4, [[1], [], [1, 2, 3], [2, 3]])]
     for _ in range(random_count):
         diagrams.append(random_diagram(rng, rng.randint(min(2, cap), cap)))
 

@@ -38,7 +38,7 @@ from keypoly.polynomial import (
 )
 from keypoly.polytope import VPolytope, lattice_points, polytope_subset
 from keypoly.verify import suite_aa
-from keypoly.worked_examples import EXCHANGE_EXAMPLE, PROMOTE_EXAMPLE
+from worked_examples import EXCHANGE_EXAMPLE, PROMOTE_EXAMPLE
 
 WORKED_KEY_TERMS = {
     (3, 2, 1): 1,

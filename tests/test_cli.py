@@ -199,6 +199,16 @@ class TestVerify:
         report = json.loads(out_path.read_text())
         assert [s["name"] for s in report["suites"]] == ["kk"]
 
+    def test_repeated_suite_runs_once_in_first_seen_order(self, tmp_path, capsys):
+        out_path = tmp_path / "r.json"
+        argv = ["verify", "--n", "2", "--parts", "2", "--out", str(out_path)]
+        for name in ("ccc", "kk", "ccc", "kk"):
+            argv += ["--suite", name]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        report = json.loads(out_path.read_text())
+        assert [s["name"] for s in report["suites"]] == list(json.loads(out)["suites"]) == ["ccc", "kk"]
+
     def test_bruhat_suite_over_s4(self, tmp_path, capsys):
         out_path = tmp_path / "r.json"
         code, _, _ = run(

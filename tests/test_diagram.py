@@ -20,7 +20,7 @@ from keypoly.diagram import (
     subset_leq,
 )
 from keypoly.polynomial import exponent_vectors, key_polynomial
-from keypoly.worked_examples import GRID4_DIAGRAM, GRID5_DIAGRAM
+from worked_examples import GRID4_DIAGRAM, GRID5_DIAGRAM
 
 
 def lower_subsets_oracle(s, n):

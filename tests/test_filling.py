@@ -28,7 +28,7 @@ from keypoly.filling import (
 )
 from keypoly.moves import Move, MoveChain, MoveError, apply_move, closure, leq_kappa
 from keypoly.polynomial import exponent_vectors, key_polynomial
-from keypoly.worked_examples import (
+from worked_examples import (
     EXCHANGE_EXAMPLE,
     GRID4_DIAGRAM,
     GRID5_DIAGRAM,

@@ -7,6 +7,14 @@ is compared with ``reference_feasible``, a phase-1 simplex over
 ``fractions.Fraction`` that shares no code with the integer solver.
 Higher-dimensional answers are also cross-checked against the move
 closure, which is computed by BFS and never touches the LP.
+
+The LP scan stays the oracle for the certified H-representation path of
+``lattice_points``: ``lp_lattice_points`` forces the fallback, and the
+two are compared on every Newton polytope of the theorem11 sweep at
+n <= 4, parts <= 4, and on random hulls.  Random simplices double as an
+independent oracle for ``support``: all their vertex pairs are edges, so
+one is a generalized permutahedron iff every edge is parallel to some
+e_i - e_j.
 """
 
 import os
@@ -20,11 +28,13 @@ from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import keypoly
 from keypoly import polytope, verify
 from keypoly.moves import closure, dominance_leq
-from keypoly.polynomial import SparsePolynomial, key_polynomial
+from keypoly.polynomial import SparsePolynomial, exponent_vectors, key_polynomial
 from keypoly.polytope import (
     VPolytope,
     contains,
@@ -104,6 +114,29 @@ def _reference_pivot(tableau, obj, row, col):
     if obj[col]:
         factor = obj[col]
         obj[:] = [x - factor * y for x, y in zip(obj, pivot_row)]
+
+
+def _uncertified(monkeypatch):
+    """Make every hull uncertified, so that ``lattice_points`` and
+    ``polytope_equal`` take the LP fallback."""
+    monkeypatch.setattr(VPolytope, "support", property(lambda self: None))
+
+
+@pytest.fixture
+def lp_only(monkeypatch):
+    _uncertified(monkeypatch)
+
+
+def via_lp(fn, *args):
+    """``fn(*args)`` with every hull uncertified, i.e. through the LP."""
+    with pytest.MonkeyPatch.context() as mp:
+        _uncertified(mp)
+        return fn(*args)
+
+
+def lp_lattice_points(p):
+    """``lattice_points`` through the LP scan, as for an uncertified hull."""
+    return via_lp(lattice_points, p)
 
 
 def hull_contains_2d(generators, point):
@@ -230,7 +263,7 @@ class TestLatticePoints:
     def test_zero_dimensional(self):
         assert lattice_points(VPolytope.from_points(0, [()])) == {()}
 
-    def test_candidates_are_box_points_on_the_common_sum_in_lex_order(self, monkeypatch):
+    def test_candidates_are_box_points_on_the_common_sum_in_lex_order(self, monkeypatch, lp_only):
         p = VPolytope.from_points(3, set(permutations((3, 1, 0))))
         seen = []
         real = polytope.contains
@@ -320,7 +353,7 @@ def _random_instance(rng):
 
 
 class TestReferenceSimplex:
-    def test_suite_instances_match_reference(self, monkeypatch):
+    def test_suite_instances_match_reference(self, monkeypatch, lp_only):
         instances = []
 
         def record(p, point):
@@ -382,15 +415,40 @@ _TAMPER_SCRIPT = textwrap.dedent(
 )
 
 
+# The same under ``python -O`` for the support certificate: a triangle in
+# x + y + z = 3 with no edge along any e_i - e_j is rejected, and its
+# lattice points still come out right, through the LP.
+_REJECT_SCRIPT = textwrap.dedent(
+    """
+    from keypoly.polytope import VPolytope, lattice_points
+
+    triangle = VPolytope.from_points(3, [(2, 0, 1), (0, 1, 2), (1, 2, 0)])
+    if triangle.support is not None:
+        raise SystemExit(f"the triangle was certified with support {triangle.support}")
+    points = lattice_points(triangle)
+    if points != {(2, 0, 1), (0, 1, 2), (1, 2, 0), (1, 1, 1)}:
+        raise SystemExit(f"wrong lattice points {sorted(points)}")
+    print("optimized" if not __debug__ else "debug", sorted(points))
+    """
+)
+
+
+def _run_optimized(script):
+    src = str(Path(keypoly.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60)
+
+
 class TestCertificates:
     def test_tampered_certificates_rejected_without_asserts(self):
-        src = str(Path(keypoly.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", _TAMPER_SCRIPT], env=env, capture_output=True, text=True, timeout=60
-        )
+        proc = _run_optimized(_TAMPER_SCRIPT)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.startswith("optimized [4, 2, 2] 4 [-2, 1, 1]"), proc.stdout
+
+    def test_support_rejected_without_asserts(self):
+        proc = _run_optimized(_REJECT_SCRIPT)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.startswith("optimized [(0, 1, 2), (1, 1, 1)"), proc.stdout
 
     def test_answers_raise_when_certificate_breaks(self, monkeypatch):
         p = VPolytope.from_points(2, [(0, 0), (2, 0), (0, 2)])
@@ -404,3 +462,180 @@ class TestCertificates:
         for point in ((Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 2), Fraction(3, 2))):
             with pytest.raises(polytope.CertificateError):
                 contains(p, point)
+
+
+def _is_root_direction(v):
+    """Whether v is a nonzero multiple of some e_i - e_j."""
+    nonzero = [x for x in v if x]
+    return len(nonzero) == 2 and sum(nonzero) == 0
+
+
+def _affinely_independent(points):
+    """Rank test over ``Fraction`` on the differences to the first point."""
+    rows = [[Fraction(a - b) for a, b in zip(q, points[0])] for q in points[1:]]
+    rank = 0
+    for col in range(len(points[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank == len(rows)
+
+
+@st.composite
+def same_sum_points(draw, n, total, min_size=1, max_size=6):
+    """Distinct nonnegative integer points of R^n with coordinate sum total."""
+    point = st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1).filter(
+        lambda head: sum(head) <= total
+    )
+    heads = draw(st.lists(point, min_size=min_size, max_size=max_size, unique_by=tuple))
+    return [(*head, total - sum(head)) for head in heads]
+
+
+@st.composite
+def simplices(draw):
+    """Affinely independent points on a hyperplane x_1 + ... + x_n = c."""
+    n = draw(st.integers(2, 4))
+    total = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    vertices = draw(same_sum_points(n, total, min_size=k, max_size=k))
+    assume(_affinely_independent(vertices))
+    return vertices
+
+
+@st.composite
+def point_sets(draw):
+    """Random generator sets, on a common-sum hyperplane or not."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return n, draw(same_sum_points(n, draw(st.integers(0, 5))))
+    point = st.tuples(*[st.integers(-2, 3)] * n)
+    return n, draw(st.lists(point, min_size=1, max_size=6))
+
+
+@st.composite
+def simplex_sums(draw):
+    """Minkowski sums of coordinate simplices conv(e_i : i in I), which
+    are generalized permutahedra, as the set of all sums of their
+    vertices."""
+    n = draw(st.integers(1, 4))
+    subsets = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=4))
+    points = {(0,) * n}
+    for subset in subsets:
+        points = {tuple(x + (k == i) for k, x in enumerate(q)) for q in points for i in subset}
+    return n, points
+
+
+_RANDOM = settings(
+    max_examples=120,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+)
+
+
+class TestSupport:
+    def test_permutohedron_support_is_the_sum_of_largest_parts(self):
+        lam = (4, 2, 1, 0)
+        p = VPolytope.from_points(4, set(permutations(lam)))
+        assert p.support == tuple(sum(lam[: bin(s).count("1")]) for s in range(16))
+
+    def test_zero_and_one_dimensional(self):
+        assert VPolytope.from_points(0, [()]).support == (0,)
+        assert VPolytope.from_points(1, [(3,)]).support == (0, 3)
+        assert lattice_points(VPolytope.from_points(1, [(3,)])) == {(3,)}
+
+    @pytest.mark.parametrize(
+        "generators",
+        [
+            # A triangle in x + y + z = 3 with no edge along any e_i - e_j:
+            # h is submodular, but the greedy vertex (2, 1, 0) is missing.
+            [(2, 0, 1), (0, 1, 2), (1, 2, 0)],
+            # No common coordinate sum.
+            [(0, 0, 1), (1, 0, 0), (1, 1, 1)],
+            # A permutohedron without its greedy vertex (0, 1, 2).
+            [q for q in permutations((2, 1, 0)) if q != (0, 1, 2)],
+            # h is not submodular: h(13) + h(23) = 2 < h(123) + h(3) = 3.
+            [(1, 1, 0, 0), (0, 0, 1, 1)],
+        ],
+    )
+    def test_uncertified_hulls_fall_back_to_the_lp(self, generators):
+        p = VPolytope.from_points(len(generators[0]), generators)
+        assert p.support is None
+        box = product(*[range(lo, hi + 1) for lo, hi in zip(*p._box)])
+        assert lattice_points(p) == {c for c in box if reference_feasible(p.generators, c)}
+
+    def test_newton_lattice_points_match_the_lp_scan(self):
+        """All 780 theorem11 polytopes at n <= 4, parts <= 4 are certified,
+        and their H-path lattice points equal the LP scan's and the
+        exponents; at n <= 3, parts <= 3 every box candidate is also
+        settled by the Fraction reference simplex."""
+        for alpha in verify.composition_family(4, 4, cap_parts_by_n=False):
+            exps = exponent_vectors(key_polynomial(alpha))
+            p = VPolytope.from_points(len(alpha), exps)
+            assert p.support is not None, alpha
+            points = lattice_points(p)
+            assert points == lp_lattice_points(p) == exps, alpha
+            if len(alpha) <= 3 and max(alpha) <= 3:
+                box = product(*[range(lo, hi + 1) for lo, hi in zip(*p._box)])
+                for c in box:
+                    if sum(c) == sum(alpha):
+                        assert (c in points) == reference_feasible(p.generators, c), (alpha, c)
+
+    def test_certified_hulls_make_no_lp_call(self, monkeypatch):
+        p = newton_polytope(key_polynomial((1, 3, 2)))
+        q = VPolytope.from_points(3, lattice_points(p))
+
+        def refuse(*args):
+            raise AssertionError("the LP ran on a certified hull")
+
+        monkeypatch.setattr(polytope, "contains", refuse)
+        monkeypatch.setattr(polytope, "_phase1", refuse)
+        assert lattice_points(p) == {(3, 2, 1), (3, 1, 2), (2, 3, 1), (2, 2, 2), (1, 3, 2)}
+        assert polytope_equal(p, q)
+        assert not polytope_equal(p, newton_polytope(key_polynomial((2, 3, 1))))
+
+    @_RANDOM
+    @given(simplices())
+    def test_simplex_certified_iff_every_edge_is_a_root_direction(self, vertices):
+        p = VPolytope.from_points(len(vertices[0]), vertices)
+        roots = all(_is_root_direction([a - b for a, b in zip(u, v)]) for u, v in combinations(vertices, 2))
+        assert (p.support is not None) == roots
+        assert lattice_points(p) == lp_lattice_points(p)
+
+    @_RANDOM
+    @given(point_sets())
+    def test_random_hulls_match_the_lp_scan(self, case):
+        n, generators = case
+        p = VPolytope.from_points(n, generators)
+        assert lattice_points(p) == lp_lattice_points(p)
+
+    @_RANDOM
+    @given(simplex_sums())
+    def test_sums_of_simplices_are_certified(self, case):
+        n, points = case
+        p = VPolytope.from_points(n, points)
+        assert p.support is not None
+        assert lattice_points(p) == lp_lattice_points(p) == points
+
+    @_RANDOM
+    @given(simplex_sums(), simplex_sums())
+    def test_polytope_equal_matches_the_lp(self, first, second):
+        (n, points), (m, others) = first, second
+        p = VPolytope.from_points(n, points)
+        vertices = VPolytope.from_points(n, [v for v in points if not _between(v, points)])
+        assert polytope_equal(p, vertices) and via_lp(polytope_equal, p, vertices)
+        if n == m:
+            q = VPolytope.from_points(m, others)
+            assert polytope_equal(p, q) == via_lp(polytope_equal, p, q)
+
+
+def _between(v, points):
+    """Whether v is the midpoint of two other points of the set."""
+    return any(tuple(2 * a - b for a, b in zip(v, u)) in points for u in points if u != v)

@@ -1,4 +1,4 @@
-"""Hand-checked worked examples shared by the tests and the verify harness.
+"""Hand-checked worked examples shared by the tests.
 
 All coordinates use the package convention: rows 1..n top to bottom,
 columns 1..n left to right, fillings written column by column as
@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Diagram, skyline
-from .filling import Filling
+from keypoly.diagram import Diagram, skyline
+from keypoly.filling import Filling
 
 __all__ = [
     "GRID4_DIAGRAM",
