@@ -70,8 +70,10 @@ def _opt(args):
 
 
 def _verify(args):
-    if args.n_max > 5 and not args.force:
-        raise ValueError("--n beyond 5 needs --force")
+    # Both flags size the sweep exponentially: --n 5 --parts 50 means 51^5 compositions.
+    for flag, value in (("--n", args.n_max), ("--parts", args.part_max)):
+        if value > 5 and not args.force:
+            raise ValueError(f"{flag} beyond 5 needs --force")
     if args.n_max < 1 or args.part_max < 0:
         raise ValueError("--n must be >= 1 and --parts >= 0")
     # A repeated --suite runs once, since the summary is keyed by suite name.
@@ -131,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="suite to run (repeatable; default all)",
     )
     p.add_argument("--slow", action="store_true", help="extend the bruhat sweep to S_5")
-    p.add_argument("--force", action="store_true", help="allow --n beyond 5")
+    p.add_argument("--force", action="store_true", help="allow --n or --parts beyond 5")
     p.add_argument(
         "--out",
         default=os.path.join(os.environ.get("REPORT_DIR", "."), "report.json"),

@@ -23,10 +23,11 @@ and ``polytope_equal`` of two certified hulls compares their support
 values.  When a check fails, ``support`` is None and both fall
 back to the LP below; which path runs depends only on the generators.
 
-``contains`` and ``polytope_subset`` (hence the ``rado`` suite) always use
-the LP: for a permutohedron h(S) is the sum of the |S| largest parts, so
-its inequalities are dominance itself, and ``rado`` compares inclusion
-with dominance.
+``contains`` and ``polytope_subset`` (hence the ``rado`` suite) answer
+from LP certificates, never from support values: for a permutohedron h(S)
+is the sum of the |S| largest parts, so its inequalities are dominance
+itself, and ``rado`` compares inclusion with dominance.  The LP is
+warm-started from the bases of the hull's earlier feasible answers.
 
 For the LP, a rational point p is scaled once to integer numerators over
 one common denominator den, and its membership is the feasibility of the
@@ -39,6 +40,15 @@ Python int over one shared denominator, the previous pivot (Bareiss).
 Bland's smallest-index pivoting rule rules out cycling, so the method
 terminates, and with exact arithmetic every answer is reproducible bit
 for bit.
+
+Each hull keeps the final basis B of every feasible solve, with the
+integer matrix d * B^-1 that the final tableau already holds.  Before a
+cold solve, ``contains`` tries these bases, most recently useful first:
+one matrix-vector product d * B^-1 (den, num) gives the point's weights
+in that basis, and a basis with nonnegative generator weights and zero
+artificial weights answers "yes".  The bases only shorten the search for
+a certificate; each answer is still checked as below, so which path ran
+never changes an answer.
 
 Every LP answer carries a certificate that is checked before it is
 returned.  A "yes" is a nonnegative integer combination of the
@@ -58,7 +68,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import permutations, product
-from operator import add, sub
+from operator import add, mul, sub
 
 from .polynomial import SparsePolynomial
 
@@ -76,6 +86,10 @@ __all__ = [
 
 class CertificateError(ArithmeticError):
     """An exact membership answer failed the check of its own certificate."""
+
+
+# A stored feasible basis (columns, rows, d); see ``VPolytope._bases``.
+_Basis = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]
 
 
 @dataclass(frozen=True)
@@ -111,6 +125,14 @@ class VPolytope:
     @cached_property
     def _generator_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.generators)
+
+    @cached_property
+    def _bases(self) -> list[_Basis]:
+        """The final phase-1 bases of this hull's feasible LP answers, most
+        recently useful first, each as ``(columns, rows, d)``: the basic
+        column of each row (a generator index, or k + r for the
+        artificial of row r), and the rows of d * B^-1."""
+        return []
 
     @cached_property
     def support(self) -> tuple[int, ...] | None:
@@ -192,12 +214,24 @@ def contains(p: VPolytope, point: Sequence[numbers.Rational]) -> bool:
         return False
     if den == 1 and num in p._generator_set:
         return True
-    return _convex_feasible(p.generators, num, den)
+    return _convex_feasible(p, num, den)
 
 
-def _convex_feasible(generators: Sequence[tuple[int, ...]], num: tuple[int, ...], den: int) -> bool:
-    """Whether num/den is in the hull of generators, with its certificate checked."""
-    feasible, certificate, scale = _phase1(generators, num, den)
+def _convex_feasible(p: VPolytope, num: tuple[int, ...], den: int) -> bool:
+    """Whether num/den is in the hull of p, with its certificate checked.
+
+    The stored bases of p are tried first: a basis whose weights for
+    (den, num) are nonnegative on its generators and zero on its
+    artificials is a feasible basis for this point too, and its weights
+    are the certificate.  Otherwise the cold phase-1 simplex decides, and
+    a feasible answer's basis joins the front of the list.
+    """
+    generators = p.generators
+    warm = _warm_start(p._bases, len(generators), num, den)
+    if warm is not None:
+        _check_combination(generators, num, den, *warm)
+        return True
+    feasible, certificate, scale = _phase1(generators, num, den, p._bases)
     if feasible:
         _check_combination(generators, num, den, certificate, scale)
     else:
@@ -205,8 +239,41 @@ def _convex_feasible(generators: Sequence[tuple[int, ...]], num: tuple[int, ...]
     return feasible
 
 
+def _warm_start(
+    bases: list[_Basis],
+    k: int,
+    num: tuple[int, ...],
+    den: int,
+) -> tuple[list[int], int] | None:
+    """The weights ``(lam, d)`` that the first fitting basis of bases
+    gives (den, num), moving that basis to the front; None if none fits.
+
+    Row i of d * B^-1 times (den, num) is d times the weight of the basic
+    column of row i.  The basis fits when every generator weight is >= 0
+    and every artificial weight is 0, for then the generators alone
+    combine to the point.
+    """
+    rhs = (den, *num)
+    for at, (columns, rows, d) in enumerate(bases):
+        lam = [0] * k
+        for j, row in zip(columns, rows):
+            w = sum(map(mul, row, rhs))
+            if w:
+                if w < 0 or j >= k:
+                    break
+                lam[j] = w
+        else:
+            if at:
+                bases.insert(0, bases.pop(at))
+            return lam, d
+    return None
+
+
 def _phase1(
-    generators: Sequence[tuple[int, ...]], num: tuple[int, ...], den: int
+    generators: Sequence[tuple[int, ...]],
+    num: tuple[int, ...],
+    den: int,
+    bases: list[_Basis] | None = None,
 ) -> tuple[bool, list[int], int]:
     """Fraction-free phase-1 simplex with Bland's rule on the convex
     combination system.
@@ -216,6 +283,8 @@ def _phase1(
     d * num``; or ``(False, y, d)``, where y is a Farkas vector over the
     rows (convexity row first) with ``y . (1, s) <= 0`` for every
     generator s and ``y . (den, num) > 0``.  The caller checks either.
+    A feasible answer also puts its final basis at the front of bases,
+    when given, in the form ``_warm_start`` reads.
     """
     k = len(generators)
     m = len(num) + 1  # one convexity row plus one row per coordinate
@@ -277,6 +346,11 @@ def _phase1(
         for r, j in enumerate(basis):
             if j < k:
                 lam[j] = tableau[r][-1]
+        if bases is not None:
+            # The artificial columns hold d * B^-1 of the sign-adjusted
+            # rows; undoing the signs gives d * B^-1 of the rows (1, s).
+            rows = tuple(tuple(row[k + r] * s for r, s in enumerate(signs)) for row in tableau)
+            bases.insert(0, (tuple(basis), rows, d))
         return True, lam, d
     # obj on artificial column r is d * (1 - pi_r) for the phase-1 duals
     # pi of the sign-adjusted rows; undoing the signs gives y.
@@ -296,8 +370,9 @@ def _check_combination(
         raise CertificateError("hull certificate has a negative weight or scale")
     if sum(lam) != scale * den:
         raise CertificateError("hull certificate weights do not sum to the scale")
+    used = [(w, g) for w, g in zip(lam, generators) if w]
     for i, x in enumerate(num):
-        if sum(w * g[i] for w, g in zip(lam, generators)) != scale * x:
+        if sum(w * g[i] for w, g in used) != scale * x:
             raise CertificateError(f"hull certificate misses coordinate {i + 1}")
 
 

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import keypoly
 from keypoly.cli import main
 from keypoly.diagram import skyline
@@ -221,10 +223,33 @@ class TestVerify:
         assert suite["name"] == "bruhat" and suite["passed"]
         assert suite["checked"] == 1 + 2 + 6 + 24
 
-    def test_n_cap_without_force(self, capsys):
+    @pytest.fixture
+    def no_sweep(self, monkeypatch):
+        """Fail, instead of running for hours, if a guarded sweep starts."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an oversized verify sweep started")
+
+        monkeypatch.setattr("keypoly.cli.run_verification", refuse)
+
+    def test_n_cap_without_force(self, capsys, no_sweep):
         code, _, err = run(capsys, ["verify", "--n", "6"])
         assert code == 2
         assert "--force" in err
+
+    def test_parts_cap_without_force(self, tmp_path, capsys, no_sweep):
+        out_path = tmp_path / "r.json"
+        code, out, err = run(capsys, ["verify", "--n", "5", "--parts", "50", "--out", str(out_path)])
+        assert code == 2
+        assert "--parts beyond 5 needs --force" in err
+        assert out == "" and not out_path.exists()
+
+    def test_parts_beyond_5_with_force(self, tmp_path, capsys):
+        out_path = tmp_path / "r.json"
+        argv = ["verify", "--n", "1", "--parts", "6", "--force", "--suite", "theorem11", "--out", str(out_path)]
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+        assert json.loads(out_path.read_text())["suites"][0]["checked"] == 7
 
     def test_report_key_order(self, tmp_path, capsys):
         path = tmp_path / "r.json"

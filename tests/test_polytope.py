@@ -6,7 +6,10 @@ set, checked with exact cross products.  In any dimension, ``contains``
 is compared with ``reference_feasible``, a phase-1 simplex over
 ``fractions.Fraction`` that shares no code with the integer solver.
 Higher-dimensional answers are also cross-checked against the move
-closure, which is computed by BFS and never touches the LP.
+closure, which is computed by BFS and never touches the LP.  Answers
+from a hull's stored bases (the warm start) are compared with those of
+a fresh hull of the same generators, which starts cold, in the rado
+sweep and on random hulls asked in both orders.
 
 The LP scan stays the oracle for the certified H-representation path of
 ``lattice_points``: ``lp_lattice_points`` forces the fallback, and the
@@ -433,6 +436,61 @@ _REJECT_SCRIPT = textwrap.dedent(
 )
 
 
+# The same under ``python -O`` for the stored bases of the warm start: a
+# basis answers a point it fits without a cold solve; a corrupted one is
+# caught by the check of the weights it gives; points that no stored
+# basis fits are answered by the cold solve.
+_WARM_SCRIPT = textwrap.dedent(
+    """
+    from fractions import Fraction
+    from keypoly import polytope
+    from keypoly.polytope import CertificateError, VPolytope, contains
+
+    cold = []
+    real = polytope._phase1
+
+    def counted(*args):
+        cold.append(args[1:3])
+        return real(*args)
+
+    polytope._phase1 = counted
+    half, third = (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 3))
+    triangle = VPolytope.from_points(2, [(0, 0), (2, 0), (0, 2)])
+    if not contains(triangle, half) or len(triangle._bases) != 1:
+        raise SystemExit("the first feasible answer stored no basis")
+    if not contains(triangle, third) or len(cold) != 1:
+        raise SystemExit("the stored basis did not answer a point it fits")
+    columns, rows, d = triangle._bases[0]
+    bad = [list(row) for row in rows]
+    bad[0][1] = -bad[0][1]
+    triangle._bases[0] = (columns, tuple(map(tuple, bad)), d)
+    try:
+        contains(triangle, third)
+    except CertificateError:
+        pass
+    else:
+        raise SystemExit("a corrupted stored basis was trusted")
+    if len(cold) != 1:
+        raise SystemExit("the corrupted basis did not answer the point")
+
+    square = VPolytope.from_points(2, [(0, 0), (2, 0), (0, 2), (2, 2)])
+    fresh = VPolytope.from_points(2, triangle.generators)
+    asked = [
+        (square, (Fraction(1, 2), Fraction(1, 4))),
+        (square, (Fraction(3, 2), Fraction(7, 4))),
+        (square, (Fraction(1, 4), Fraction(1, 4))),
+        (fresh, half),
+        (fresh, (Fraction(3, 2), Fraction(3, 2))),
+    ]
+    answers = []
+    for p, point in asked:
+        before = len(cold)
+        answers.append((contains(p, point), len(cold) - before))
+    print("optimized" if not __debug__ else "debug", answers)
+    """
+)
+
+
 def _run_optimized(script):
     src = str(Path(keypoly.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -449,6 +507,15 @@ class TestCertificates:
         proc = _run_optimized(_REJECT_SCRIPT)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.startswith("optimized [(0, 1, 2), (1, 1, 1)"), proc.stdout
+
+    def test_stored_bases_checked_without_asserts(self):
+        proc = _run_optimized(_WARM_SCRIPT)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        # (answer, cold solves): the square's second point fits no stored
+        # basis, its third fits the first one's; the fresh triangle starts cold.
+        assert proc.stdout.startswith(
+            "optimized [(True, 1), (True, 1), (True, 0), (True, 1), (False, 1)]"
+        ), proc.stdout
 
     def test_answers_raise_when_certificate_breaks(self, monkeypatch):
         p = VPolytope.from_points(2, [(0, 0), (2, 0), (0, 2)])
@@ -639,3 +706,81 @@ class TestSupport:
 def _between(v, points):
     """Whether v is the midpoint of two other points of the set."""
     return any(tuple(2 * a - b for a, b in zip(v, u)) in points for u in points if u != v)
+
+
+@st.composite
+def hulls_with_points(draw):
+    """A random hull, possibly with repeated generators, and a list of
+    rational points: random ones and convex combinations of generators."""
+    n = draw(st.integers(1, 3))
+    generators = draw(st.lists(st.tuples(*[st.integers(-2, 3)] * n), min_size=1, max_size=6))
+    coordinate = st.fractions(-3, 4, max_denominator=4)
+    weights = st.lists(st.integers(0, 3), min_size=len(generators), max_size=len(generators)).filter(any)
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            points.append(tuple(draw(st.lists(coordinate, min_size=n, max_size=n))))
+        else:
+            w = draw(weights)
+            points.append(tuple(Fraction(sum(a * g[i] for a, g in zip(w, generators)), sum(w)) for i in range(n)))
+    return n, tuple(generators), points
+
+
+class TestWarmStart:
+    def test_rado_answers_match_a_cold_hull_and_the_reference(self, monkeypatch):
+        """Every contains call of the rado sweep at n = 3 gets the same
+        answer from its long-lived hull, from a fresh hull of the same
+        generators and from the Fraction reference, and the stored bases
+        save cold solves."""
+        asked = []
+        counts = {"_convex_feasible": 0, "_phase1": 0}
+        for name in counts:
+            real = getattr(polytope, name)
+
+            def counted(*args, name=name, real=real):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(polytope, name, counted)
+        real_contains = polytope.contains
+
+        def record(p, point):
+            answer = real_contains(p, point)
+            asked.append((p, point, answer))
+            return answer
+
+        monkeypatch.setattr(polytope, "contains", record)
+        assert verify.suite_rado(3, 3).passed
+        monkeypatch.undo()
+        # _convex_feasible runs once per call past the cheap rejections and
+        # the generator shortcut; _phase1 once per cold solve.
+        assert 0 < counts["_phase1"] < counts["_convex_feasible"] <= len(asked)
+        for p, point, answer in asked:
+            assert answer == contains(VPolytope(p.n, p.generators), point), (p, point)
+            assert answer == reference_feasible(p.generators, point), (p, point)
+
+    def test_stored_bases_invert_their_columns(self):
+        """d * B^-1 times each basic column of B is d times a unit vector:
+        (1, g) for a generator g, and +-e_r for the artificial of row r,
+        whose sign is that of row r in the solve that stored it."""
+        p = VPolytope.from_points(4, set(permutations((3, 2, 1, 0))))
+        for q in [(3, 2, 1, 0), (2, 2, 1, 1), (3, 1, 1, 1)]:
+            for lam in set(permutations(q)):
+                contains(p, lam)
+        assert len(p._bases) > 1
+        for columns, rows, d in p._bases:
+            for i, j in enumerate(columns):
+                if j < len(p.generators):
+                    column = (1, *p.generators[j])
+                    assert [sum(a * b for a, b in zip(row, column)) for row in rows] == [d * (r == i) for r in range(5)]
+                else:
+                    assert [abs(row[j - len(p.generators)]) for row in rows] == [d * (r == i) for r in range(5)]
+
+    @_RANDOM
+    @given(hulls_with_points())
+    def test_answers_do_not_depend_on_the_order_asked(self, case):
+        n, generators, points = case
+        forward, backward = VPolytope(n, generators), VPolytope(n, generators)
+        answers = [contains(forward, q) for q in points]
+        assert answers[::-1] == [contains(backward, q) for q in reversed(points)]
+        assert answers == [reference_feasible(generators, q) for q in points]
