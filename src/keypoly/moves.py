@@ -11,9 +11,12 @@ Both moves preserve the coordinate sum and keep every coordinate inside
 [min(alpha), max(alpha)], so breadth-first search over legal moves
 terminates and computes the full reachable set.
 
-The search works on plain tuples and records each vector's parent as
-(parent, kind, i, j); ``Move`` objects are built only for the path that
-``leq_kappa`` returns.  The most recent search is memoized, so a closure
+The search keys its visited set by each vector packed into one int (the
+digits of v - min(alpha) in base max(alpha) - min(alpha) + 1), so a move
+is one integer addition, and builds a tuple only for a newly found vector.
+It records each vector's parent as (parent, kind, i, j) in a tuple-keyed
+map; ``Move`` objects are built only for the path that ``leq_kappa``
+returns.  The most recent search is memoized, so a closure
 followed by reachability queries from the same alpha searches once;
 ``closure`` and ``closure_order`` return fresh copies of it.
 """
@@ -140,46 +143,62 @@ def _bfs_parents(alpha: tuple[int, ...]) -> dict[tuple[int, ...], _Step | None]:
     least 2 below it, both keep the sum and every coordinate inside
     [min(alpha), max(alpha)].
 
+    So v - min(alpha) packs into the int sum((v[k] - min(alpha)) * B**k)
+    with B = max(alpha) - min(alpha) + 1, and the visited set holds these
+    ints: with D = B**i - B**j, a T move on (i, j) adds (v[j] - v[i]) * D
+    and an M move adds D.  A tuple is built only for a newly found vector.
+
     The last search is memoized (one entry), so closure(alpha) followed by
     leq_kappa(beta, alpha) searches once.  Callers must not mutate the
     returned dict.
     """
     n = len(alpha)
-    pairs = [(i, j, i + 1, j + 1) for i in range(n - 1) for j in range(i + 1, n)]
+    lo = min(alpha) if alpha else 0
+    base = max(alpha) - lo + 1 if alpha else 1
+    pairs = [(i, j, i + 1, j + 1, base**i - base**j) for i in range(n - 1) for j in range(i + 1, n)]
+    start = 0
+    for x in reversed(alpha):
+        start = start * base + x - lo
     parents: dict[tuple[int, ...], _Step | None] = {alpha: None}
-    queue = deque([alpha])
+    seen = {start}
+    queue = deque([(start, alpha)])
     while queue:
-        v = queue.popleft()
-        for i, j, mi, mj in pairs:
+        e, v = queue.popleft()
+        for i, j, mi, mj, d in pairs:
             a = v[i]
             b = v[j]
             if a < b:
-                w = list(v)
-                w[i] = b
-                w[j] = a
-                w = tuple(w)
-                if w not in parents:
+                f = e + (b - a) * d
+                if f not in seen:
+                    seen.add(f)
+                    w = list(v)
+                    w[i] = b
+                    w[j] = a
+                    w = tuple(w)
                     parents[w] = (v, "T", mi, mj)
-                    queue.append(w)
-        for i, j, mi, mj in pairs:
+                    queue.append((f, w))
+        for i, j, mi, mj, d in pairs:
             a = v[i]
             b = v[j]
             if a < b - 1:
-                w = list(v)
-                w[i] = a + 1
-                w[j] = b - 1
-                w = tuple(w)
-                if w not in parents:
+                f = e + d
+                if f not in seen:
+                    seen.add(f)
+                    w = list(v)
+                    w[i] = a + 1
+                    w[j] = b - 1
+                    w = tuple(w)
                     parents[w] = (v, "M", mi, mj)
-                    queue.append(w)
+                    queue.append((f, w))
     return parents
 
 
 def _int_vector(v: Sequence[int]) -> tuple[int, ...]:
-    """v as a tuple of ints.  Other entries are refused: the search memo
-    would answer (1.0, 2.0) with the vectors found from (1, 2)."""
+    """v as a tuple of ints.  Other entries, bools included, are refused:
+    the search memo would answer (1.0, 2.0) or (True, 2) with the vectors
+    found from (1, 2)."""
     vec = tuple(v)
-    if not all(isinstance(x, int) for x in vec):
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in vec):
         raise TypeError(f"vector entries must be integers, got {vec}")
     return vec
 

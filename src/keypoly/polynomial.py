@@ -15,7 +15,20 @@ every term.
 The module also provides the key polynomial of a composition, computed by
 the standard recursion: a weakly decreasing alpha gives the monomial
 x^alpha, and otherwise the operator ``pi_i = partial_i . (x_i *)`` is
-applied at an ascent of alpha.
+applied at an ascent of alpha.  The pi_i chain runs on exponent vectors
+packed into one int in base max(alpha) + 1: no exponent of any
+intermediate exceeds max(alpha), so no digit carries, and one pi_i step
+maps each packed monomial to an arithmetic run of packed monomials
+without building x_i * f or any tuple.  Only the answer is unpacked.
+``demazure`` runs the same step on a packed copy of its argument.
+
+The key memo keeps one form per composition: the packed terms of an
+intermediate of the recursion that no caller has asked for, and the
+``SparsePolynomial`` once ``key_polynomial`` has handed it out.  The
+recursion packs a handed-out key again when a longer chain passes
+through it.  The keys handed out share their exponent tuples through a
+second memo from packed exponent to tuple, so a sweep over many
+compositions builds each exponent tuple once.
 
 >>> key_polynomial((0, 1)) == SparsePolynomial(2, {(1, 0): 1, (0, 1): 1})
 True
@@ -222,12 +235,99 @@ def divided_difference(f: SparsePolynomial, i: int) -> SparsePolynomial:
 
 
 def demazure(f: SparsePolynomial, i: int) -> SparsePolynomial:
-    """The operator pi_i f = divided_difference(x_i * f, i)."""
+    """The operator pi_i f = divided_difference(x_i * f, i), computed on
+    packed exponents (see ``_pi_packed``) without building x_i * f."""
     f._check_operator_index(i)
-    return divided_difference(f.times_variable(i), i)
+    base = max(max(exp) for exp in f._terms) + 1 if f._terms else 1
+    packed = _pi_packed(_pack_terms(f._terms, base), base ** (i - 1), base)
+    return SparsePolynomial._unchecked(f.n, _unpack_terms(packed, base, f.n, {}))
 
 
-_KEY_CACHE: dict[tuple[tuple[int, ...], str], SparsePolynomial] = {}
+# An exponent vector e of length n with entries below ``base`` packs into
+# the int sum(e[k] * base**k); x_i is the digit at place base**(i-1).
+
+def _pack(exp: tuple[int, ...], base: int) -> int:
+    packed = 0
+    for x in reversed(exp):
+        packed = packed * base + x
+    return packed
+
+
+def _pack_terms(terms: Mapping[tuple[int, ...], int], base: int) -> dict[int, int]:
+    return {_pack(exp, base): c for exp, c in terms.items()}
+
+
+def _unpack_terms(
+    terms: dict[int, int], base: int, n: int, known: dict[int, tuple[int, ...]]
+) -> dict[tuple[int, ...], int]:
+    """The terms with tuple exponents, in the same order.  ``known`` maps
+    packed exponents to tuples and gains every exponent missing from it;
+    such an exponent is unpacked as its low half of digits plus its high
+    half, each half decoded once per call and then looked up."""
+    half = n // 2
+    split = base**half
+    lows: dict[int, tuple[int, ...]] = {}
+    highs: dict[int, tuple[int, ...]] = {}
+    for packed in terms:
+        if packed not in known:
+            high, low = divmod(packed, split)
+            head = lows.get(low)
+            if head is None:
+                head = lows[low] = _digits(low, base, half)
+            tail = highs.get(high)
+            if tail is None:
+                tail = highs[high] = _digits(high, base, n - half)
+            known[packed] = head + tail
+    return dict(zip(map(known.__getitem__, terms), terms.values()))
+
+
+def _digits(packed: int, base: int, n: int) -> tuple[int, ...]:
+    digits = []
+    for _ in range(n):
+        packed, x = divmod(packed, base)
+        digits.append(x)
+    return tuple(digits)
+
+
+def _pi_packed(terms: dict[int, int], low: int, base: int) -> dict[int, int]:
+    """pi_i on packed terms, where ``low`` = base**(i-1) is the place of x_i.
+
+    With x = a_i and y = a_{i+1}, pi_i x^a is the sum of x_i^(x-t)
+    x_{i+1}^(y+t) over t = 0 .. x-y when x >= y, 0 when x + 1 == y, and
+    minus the sum of x_i^(x+s) x_{i+1}^(y-s) over s = 1 .. y-x-1 when
+    x + 1 < y.  Every new digit lies between x and y, so no digit carries
+    and the packing stays valid; one unit moved from x_i to x_{i+1} adds
+    ``step`` to the packed exponent.  Output terms come in the order the
+    divided difference of x_i * f emits them.
+    """
+    step = low * base - low
+    out: dict[int, int] = {}
+    get = out.get
+    for e, c in terms.items():
+        q = e // low
+        x = q % base
+        y = q // base % base
+        if x >= y:
+            for _ in range(x - y + 1):
+                out[e] = get(e, 0) + c
+                e += step
+        else:
+            c = -c
+            e -= (y - x - 1) * step
+            for _ in range(y - x - 1):
+                out[e] = get(e, 0) + c
+                e += step
+    return {e: c for e, c in out.items() if c}
+
+
+# (alpha, pivot) -> the key of alpha, in one form: the SparsePolynomial
+# once key_polynomial has handed it out, else the packed terms (base
+# max(alpha) + 1) of an intermediate of the pi_i recursion.
+_KEY_CACHE: dict[tuple[tuple[int, ...], str], SparsePolynomial | dict[int, int]] = {}
+
+# (base, n) -> packed exponent -> its tuple, for every exponent of a key
+# handed out so far; those keys share these tuples.
+_KEY_EXPONENTS: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
 
 
 def key_polynomial(alpha: Sequence[int], *, pivot: str = "leftmost") -> SparsePolynomial:
@@ -240,26 +340,42 @@ def key_polynomial(alpha: Sequence[int], *, pivot: str = "leftmost") -> SparsePo
     memoized results are reproducible.
     """
     a = tuple(alpha)
-    if any(not isinstance(p, int) or p < 0 for p in a):
+    if any(isinstance(p, bool) or not isinstance(p, int) or p < 0 for p in a):
         raise ValueError(f"composition parts must be nonnegative integers, got {a}")
     if pivot not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown pivot rule {pivot!r}")
-    return _key_recursive(a, pivot)
-
-
-def _key_recursive(a: tuple[int, ...], pivot: str) -> SparsePolynomial:
     cached = _KEY_CACHE.get((a, pivot))
-    if cached is not None:
+    if isinstance(cached, SparsePolynomial):
         return cached
-    ascents = [k for k in range(len(a) - 1) if a[k] < a[k + 1]]
-    if not ascents:
-        result = SparsePolynomial.monomial(a)
-    else:
-        k = ascents[0] if pivot == "leftmost" else ascents[-1]
-        swapped = a[:k] + (a[k + 1], a[k]) + a[k + 2:]
-        result = demazure(_key_recursive(swapped, pivot), k + 1)
+    n = len(a)
+    base = max(a, default=0) + 1
+    known = _KEY_EXPONENTS.setdefault((base, n), {})
+    result = SparsePolynomial._unchecked(n, _unpack_terms(_packed_key(a, pivot, base), base, n, known))
     _KEY_CACHE[(a, pivot)] = result
     return result
+
+
+def _packed_key(a: tuple[int, ...], pivot: str, base: int) -> dict[int, int]:
+    """The packed terms of key(a).  Walks down the pivot chain to a memo
+    entry or a weakly decreasing composition, then applies pi_i on the
+    way back up, memoizing each intermediate packed.  Every composition
+    on the chain rearranges a, so they all share one base."""
+    chain = []
+    while True:
+        cached = _KEY_CACHE.get((a, pivot))
+        if cached is not None:
+            terms = cached if isinstance(cached, dict) else _pack_terms(cached._terms, base)
+            break
+        ascents = [k for k in range(len(a) - 1) if a[k] < a[k + 1]]
+        if not ascents:
+            terms = _KEY_CACHE[(a, pivot)] = {_pack(a, base): 1}
+            break
+        k = ascents[0] if pivot == "leftmost" else ascents[-1]
+        chain.append((a, k))
+        a = a[:k] + (a[k + 1], a[k]) + a[k + 2:]
+    for above, k in reversed(chain):
+        terms = _KEY_CACHE[(above, pivot)] = _pi_packed(terms, base**k, base)
+    return terms
 
 
 def exponent_vectors(f: SparsePolynomial) -> set[tuple[int, ...]]:

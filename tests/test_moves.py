@@ -1,8 +1,9 @@
 """Tests for the moves, the reachability closure, and dominance.
 
-The BFS in ``keypoly.moves`` scans moves on plain tuples; the reference
-search below builds every edge from the public ``legal_moves`` and
-``apply_move`` instead, so the two share no move logic.
+The BFS in ``keypoly.moves`` scans moves as additions to packed integers;
+the reference search below builds every edge from the public
+``legal_moves`` and ``apply_move`` instead, so the two share no move
+logic.
 """
 
 import random
@@ -125,6 +126,11 @@ class TestClosure:
             for v in expected:
                 assert sum(v) == total and all(lo <= x <= hi for x in v), (alpha, v)
 
+    def test_kernel_matches_reference_on_packing_edge_cases(self):
+        # base 1 (all entries equal), negative entries, and a base of 13
+        for alpha in [(), (4,), (3, 3, 3), (-1, -1), (-2, 0, 3), (0, 12, 1)]:
+            assert kernel_parents_as_moves(alpha) == list(reference_bfs_parents(alpha).items()), alpha
+
     def test_returned_sets_are_fresh_copies(self):
         # the search is memoized; callers must not be able to edit the memo
         alpha = (1, 3, 2)
@@ -138,6 +144,15 @@ class TestClosure:
         for call in (closure, closure_order, lambda v: leq_kappa((2, 1), v)):
             with pytest.raises(TypeError):
                 call((1.0, 2.0))
+
+    def test_bool_entries_do_not_poison_the_memo(self):
+        moves._bfs_parents.cache_clear()
+        for call in (closure, closure_order, lambda v: leq_kappa((1, 0), v)):
+            with pytest.raises(TypeError):
+                call((False, True))
+        got = closure_order((0, 1))
+        assert got == [(0, 1), (1, 0)]
+        assert all(type(x) is int for v in got for x in v)
 
     def test_closure_then_queries_search_once(self):
         alpha = (0, 2, 1, 3)

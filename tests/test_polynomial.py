@@ -7,11 +7,15 @@ multiply-back identity q * (x_i - x_{i+1}) == f - s_i f.  None shares code
 with the implementation's in-place geometric-sum expansion.
 """
 
+import json
 import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from keypoly import polynomial
 from keypoly.polynomial import (
     SparsePolynomial,
     demazure,
@@ -126,6 +130,25 @@ def rand_poly(rng: random.Random, n=4, max_terms=10, max_deg=5) -> SparsePolynom
 
 def mono(*exp, coeff=1):
     return SparsePolynomial.monomial(exp, coeff)
+
+
+@st.composite
+def polynomials(draw, min_n=2):
+    """Polynomials in min_n..5 variables of total degree at most 8, with
+    coefficients in -9..9 (a zero one is dropped)."""
+    n = draw(st.integers(min_n, 5))
+    terms = {}
+    for _ in range(draw(st.integers(0, 10))):
+        budget = 8
+        exp = []
+        for _ in range(n):
+            exp.append(draw(st.integers(0, budget)))
+            budget -= exp[-1]
+        terms[tuple(draw(st.permutations(exp)))] = draw(st.integers(-9, 9))
+    return SparsePolynomial(n, terms)
+
+
+_ALGEBRA = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
 class TestSparsePolynomial:
@@ -271,6 +294,40 @@ class TestOperatorAlgebra:
                 assert demazure(g, i) == g
 
 
+class TestOperatorAlgebraProperties:
+    @_ALGEBRA
+    @given(polynomials(), st.data())
+    def test_demazure_is_the_divided_difference_of_x_i_f(self, f, data):
+        i = data.draw(st.integers(1, f.n - 1))
+        assert demazure(f, i) == reference_divided_difference(f.times_variable(i), i)
+
+    @_ALGEBRA
+    @given(polynomials(), st.data())
+    def test_demazure_is_idempotent(self, f, data):
+        i = data.draw(st.integers(1, f.n - 1))
+        g = demazure(f, i)
+        assert demazure(g, i) == g
+
+    @_ALGEBRA
+    @given(polynomials(min_n=3), st.data())
+    def test_braid_relation(self, f, data):
+        i = data.draw(st.integers(1, f.n - 2))
+        j = i + 1
+        assert demazure(demazure(demazure(f, i), j), i) == demazure(demazure(demazure(f, j), i), j)
+
+    @_ALGEBRA
+    @given(polynomials(min_n=4), st.data())
+    def test_distant_operators_commute(self, f, data):
+        i, j = data.draw(st.sampled_from([(i, j) for i in range(1, f.n) for j in range(i + 2, f.n)]))
+        assert demazure(demazure(f, i), j) == demazure(demazure(f, j), i)
+
+    @_ALGEBRA
+    @given(polynomials(), st.data())
+    def test_divided_difference_squares_to_zero(self, f, data):
+        i = data.draw(st.integers(1, f.n - 1))
+        assert divided_difference(divided_difference(f, i), i).is_zero()
+
+
 class TestKeyPolynomial:
     def test_partition_case_is_monomial(self):
         assert key_polynomial((3, 2, 1)) == mono(3, 2, 1)
@@ -294,6 +351,14 @@ class TestKeyPolynomial:
         with pytest.raises(ValueError):
             key_polynomial((1, -1))
 
+    def test_bool_parts_do_not_poison_the_memo(self):
+        polynomial._KEY_CACHE.clear()
+        with pytest.raises(ValueError):
+            key_polynomial((True, False))
+        key = key_polynomial((1, 0))
+        assert all(type(x) is int for exp in key.terms for x in exp)
+        assert json.dumps(key.to_json_dict()) == '{"n": 2, "terms": [{"exp": [1, 0], "coeff": 1}]}'
+
     def test_rejects_unknown_pivot(self):
         with pytest.raises(ValueError):
             key_polynomial((0, 1), pivot="middle")
@@ -310,6 +375,33 @@ class TestKeyPolynomial:
                 for alpha in product(range(5), repeat=n):
                     expected = reference_key(alpha, pivot, memo)
                     assert key_polynomial(alpha, pivot=pivot) == expected, (alpha, pivot)
+
+    @pytest.mark.parametrize("pivot", ["leftmost", "rightmost"])
+    def test_packing_edge_cases_match_reference(self, pivot):
+        # no digits, base 1, and exponents on the top digit of their base
+        polynomial._KEY_CACHE.clear()
+        memo = {}
+        for alpha in [(), (0,), (0, 0, 0), (0, 9), (9, 0, 9), (2, 10, 0, 10), (10, 2, 10, 0)]:
+            assert key_polynomial(alpha, pivot=pivot) == reference_key(alpha, pivot, memo), alpha
+
+    def test_intermediates_of_a_cold_key(self):
+        polynomial._KEY_CACHE.clear()
+        top = tuple(range(7))
+        key_polynomial(top)
+        handed_out = [a for (a, _), v in polynomial._KEY_CACHE.items() if isinstance(v, SparsePolynomial)]
+        assert len(polynomial._KEY_CACHE) == 22 and handed_out == [top]
+        below = (5, 4, 3, 2, 1, 0, 6)  # 6 steps above the partition, 429 terms
+        key = key_polynomial(below)
+        assert key == reference_key(below, "leftmost", {})
+        assert key_polynomial(below) is key
+        with pytest.raises(TypeError):
+            key.terms[below] = 2
+        assert key.coefficient(below) == 1
+        # a chain through a handed-out key packs that key again
+        polynomial._KEY_CACHE.clear()
+        key_polynomial(below)
+        above = (4, 5, 3, 2, 1, 0, 6)
+        assert key_polynomial(above) == reference_key(above, "leftmost", {})
 
     def test_alpha_is_an_exponent_with_coefficient_one(self):
         for n in range(1, 5):
