@@ -216,7 +216,7 @@ def closure_order(alpha: Sequence[int]) -> list[tuple[int, ...]]:
 def leq_kappa(beta: Sequence[int], alpha: Sequence[int]) -> tuple[bool, MoveChain | None]:
     """Decide reachability of beta from alpha; on success also return a
     witnessing chain from alpha to beta."""
-    b = tuple(beta)
+    b = _int_vector(beta)
     a = _int_vector(alpha)
     if len(b) != len(a):
         raise ValueError(f"length mismatch: {len(b)} vs {len(a)}")

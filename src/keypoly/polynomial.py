@@ -67,6 +67,8 @@ class SparsePolynomial:
                 exp = tuple(exp)
                 if len(exp) != n:
                     raise ValueError(f"exponent {exp} has length {len(exp)}, expected {n}")
+                if any(isinstance(e, bool) or not isinstance(e, int) for e in exp):
+                    raise TypeError(f"exponent entries must be integers, got {exp}")
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
                 if coeff != 0:

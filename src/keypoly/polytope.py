@@ -26,8 +26,8 @@ back to the LP below; which path runs depends only on the generators.
 ``contains`` and ``polytope_subset`` (hence the ``rado`` suite) answer
 from LP certificates, never from support values: for a permutohedron h(S)
 is the sum of the |S| largest parts, so its inequalities are dominance
-itself, and ``rado`` compares inclusion with dominance.  The LP is
-warm-started from the bases of the hull's earlier feasible answers.
+itself, and ``rado`` compares inclusion with dominance.  The LP starts
+from the bases of the hull's earlier feasible answers.
 
 For the LP, a rational point p is scaled once to integer numerators over
 one common denominator den, and its membership is the feasibility of the
@@ -35,20 +35,26 @@ integer system
 
     lambda >= 0,  sum lambda_s = den,  sum lambda_s * s = den * p,
 
-decided by a fraction-free phase-1 simplex: every tableau entry is a
-Python int over one shared denominator, the previous pivot (Bareiss).
+decided by a fraction-free simplex: every tableau entry is a Python
+int over one shared denominator, the previous pivot (Bareiss).
 Bland's smallest-index pivoting rule rules out cycling, so the method
 terminates, and with exact arithmetic every answer is reproducible bit
 for bit.
 
 Each hull keeps the final basis B of every feasible solve, with the
-integer matrix d * B^-1 that the final tableau already holds.  Before a
-cold solve, ``contains`` tries these bases, most recently useful first:
-one matrix-vector product d * B^-1 (den, num) gives the point's weights
-in that basis, and a basis with nonnegative generator weights and zero
-artificial weights answers "yes".  The bases only shorten the search for
-a certificate; each answer is still checked as below, so which path ran
-never changes an answer.
+integer matrix d * B^-1 that the final tableau already holds.
+``contains`` first tries these bases, most recently useful first: one
+matrix-vector product d * B^-1 (den, num) gives the point's weights in
+that basis, and a basis with nonnegative generator weights and zero
+artificial weights answers "yes".  When none fits, a dual simplex
+(Lemke 1954) restarts from the front basis: that basis was phase-1
+optimal, and reduced costs do not depend on the right-hand side, so it
+is still dual feasible, and a few dual pivots repair the changed
+right-hand side.  It runs fraction-free like phase 1, through the same
+pivot, with the dual form of Bland's rule.  Only a hull with no stored
+basis yet runs phase 1 from the all-artificial basis.  The bases only
+shorten the search for a certificate; each answer is still checked as
+below, so which path ran never changes an answer.
 
 Every LP answer carries a certificate that is checked before it is
 returned.  A "yes" is a nonnegative integer combination of the
@@ -128,10 +134,11 @@ class VPolytope:
 
     @cached_property
     def _bases(self) -> list[_Basis]:
-        """The final phase-1 bases of this hull's feasible LP answers, most
-        recently useful first, each as ``(columns, rows, d)``: the basic
-        column of each row (a generator index, or k + r for the
-        artificial of row r), and the rows of d * B^-1."""
+        """The final bases of this hull's feasible LP answers, cold or
+        restarted, most recently useful first, each as
+        ``(columns, rows, d)``: the basic column of each row (a
+        generator index, or k + r for the artificial of row r), and the
+        rows of d * B^-1."""
         return []
 
     @cached_property
@@ -223,15 +230,19 @@ def _convex_feasible(p: VPolytope, num: tuple[int, ...], den: int) -> bool:
     The stored bases of p are tried first: a basis whose weights for
     (den, num) are nonnegative on its generators and zero on its
     artificials is a feasible basis for this point too, and its weights
-    are the certificate.  Otherwise the cold phase-1 simplex decides, and
-    a feasible answer's basis joins the front of the list.
+    are the certificate.  Otherwise the dual simplex restarts from the
+    front stored basis, and only a hull with no stored basis yet runs the
+    cold phase-1 simplex.  A feasible answer's basis joins the front of
+    the list.
     """
     generators = p.generators
-    warm = _warm_start(p._bases, len(generators), num, den)
+    bases = p._bases
+    warm = _warm_start(bases, len(generators), num, den)
     if warm is not None:
         _check_combination(generators, num, den, *warm)
         return True
-    feasible, certificate, scale = _phase1(generators, num, den, p._bases)
+    solve = _dual_restart if bases else _phase1
+    feasible, certificate, scale = solve(generators, num, den, bases)
     if feasible:
         _check_combination(generators, num, den, certificate, scale)
     else:
@@ -327,33 +338,130 @@ def _phase1(
                     leave, best_rhs, best_a = r, row[-1], a
         if leave is None:
             raise CertificateError("phase-1 objective is bounded below, yet no row can leave")
-        pivot_row = tableau[leave]
-        p = pivot_row[enter]
-        for r, row in enumerate(tableau):
-            if r != leave:
-                f = row[enter]
-                if f:
-                    tableau[r] = [(x * p - f * y) // d for x, y in zip(row, pivot_row)]
-                else:
-                    tableau[r] = [x * p // d for x in row]
-        f = obj[enter]
-        obj = [(x * p - f * y) // d for x, y in zip(obj, pivot_row)]
+        d = _pivot(tableau, obj, leave, enter, d)
         basis[leave] = enter
-        d = p
+    return _read_optimum(tableau, obj, basis, d, signs, bases)
 
+
+def _dual_restart(
+    generators: Sequence[tuple[int, ...]],
+    num: tuple[int, ...],
+    den: int,
+    bases: list[_Basis],
+) -> tuple[bool, list[int], int]:
+    """Fraction-free dual simplex with Bland's rule from the front basis
+    of bases, for a point that basis does not fit; same answers as
+    ``_phase1``.
+
+    The stored basis B was phase-1 optimal, and reduced costs do not
+    depend on the right-hand side, so B is dual feasible for (den, num).
+    The tableau is d * B^-1 times the generator columns (1, g) and the
+    artificials basic in B: the artificial of row r has column
+    sigma_r * e_r, and its sign sigma_r is read off d * B^-1, where that
+    column is sigma_r * d times a unit vector.  The other artificials
+    are dropped.  Any weights that put the point in the hull still solve
+    the smaller system with artificial sum 0, so a positive optimum, or a
+    row that proves it infeasible, still puts the point outside.
+
+    Each step the basic variable of smallest index among those of
+    negative value leaves, and the column of smallest ratio reduced cost
+    / |entry| among its negative entries enters, ties to the smallest
+    index.  The leaving row is negated first, so that the pivot, the next
+    d, is positive.
+    """
+    columns, rows, d = bases[0]
+    k = len(generators)
+    m = len(num) + 1
+    signs = [1] * m
+    for j, row in zip(columns, rows):
+        if j >= k:
+            signs[j - k] = 1 if row[j - k] > 0 else -1
+    eligible = [*range(k), *sorted(j for j in columns if j >= k)]
+    vectors = [(1, *g) for g in generators]
+    rhs = (den, *num)
+    # In the layout of _phase1's tableau, row i is row i of d * B^-1
+    # times the generator columns, the artificial columns sigma_r * e_r
+    # and (den, num).
+    tableau = [
+        [sum(map(mul, row, v)) for v in vectors] + list(map(mul, row, signs)) + [sum(map(mul, row, rhs))]
+        for row in rows
+    ]
+    # obj is d * (cost - pi . column) for the duals pi = c_B * B^-1, and
+    # y = d * pi is the sum of the rows whose basic column is an
+    # artificial, the columns of cost 1.
+    y = [0] * m
+    for j, row in zip(columns, rows):
+        if j >= k:
+            y = list(map(add, y, row))
+    obj = [-sum(map(mul, y, v)) for v in vectors]
+    obj += [d - s * t for s, t in zip(signs, y)] + [-sum(map(mul, y, rhs))]
+    basis = list(columns)
+    while True:
+        leave = min((r for r, row in enumerate(tableau) if row[-1] < 0), key=basis.__getitem__, default=None)
+        if leave is None:
+            break
+        row = tableau[leave]
+        enter = None
+        for c in eligible:
+            a = row[c]
+            # obj[c] / -a < obj[enter] / -best_a; eligible is ascending.
+            if a < 0 and (enter is None or obj[c] * best_a > obj[enter] * a):
+                enter, best_a = c, a
+        if enter is None:
+            # Row leave of B^-1 is >= 0 on every generator column (1, g),
+            # yet negative on (den, num).
+            return False, [-x * s for x, s in zip(row[k:-1], signs)], d
+        tableau[leave] = [-x for x in row]
+        d = _pivot(tableau, obj, leave, enter, d)
+        basis[leave] = enter
+    return _read_optimum(tableau, obj, basis, d, signs, bases)
+
+
+def _pivot(tableau: list[list[int]], obj: list[int], leave: int, enter: int, d: int) -> int:
+    """One fraction-free (Bareiss) pivot on tableau[leave][enter] > 0,
+    in place on tableau and obj; returns the pivot, the next d."""
+    pivot_row = tableau[leave]
+    p = pivot_row[enter]
+    for r, row in enumerate(tableau):
+        if r != leave:
+            f = row[enter]
+            if f:
+                tableau[r] = [(x * p - f * y) // d for x, y in zip(row, pivot_row)]
+            else:
+                tableau[r] = [x * p // d for x in row]
+    f = obj[enter]
+    obj[:] = [(x * p - f * y) // d for x, y in zip(obj, pivot_row)]
+    return p
+
+
+def _read_optimum(
+    tableau: list[list[int]],
+    obj: list[int],
+    basis: list[int],
+    d: int,
+    signs: list[int],
+    bases: list[_Basis] | None,
+) -> tuple[bool, list[int], int]:
+    """The answer of an optimal, feasible phase-1 tableau whose artificial
+    columns k + r are sigma_r * e_r in the rows (1, s), sigma = signs.
+
+    A zero artificial sum gives the weights of the basic generators, and
+    the basis joins the front of bases; a positive one the Farkas vector
+    y = d * c_B * B^-1.
+    """
+    k = len(tableau[0]) - len(signs) - 1
     if obj[-1] == 0:
         lam = [0] * k
         for r, j in enumerate(basis):
             if j < k:
                 lam[j] = tableau[r][-1]
         if bases is not None:
-            # The artificial columns hold d * B^-1 of the sign-adjusted
-            # rows; undoing the signs gives d * B^-1 of the rows (1, s).
+            # The artificial columns hold d * B^-1 with column r times
+            # sigma_r; undoing the signs gives d * B^-1 of the rows (1, s).
             rows = tuple(tuple(row[k + r] * s for r, s in enumerate(signs)) for row in tableau)
             bases.insert(0, (tuple(basis), rows, d))
         return True, lam, d
-    # obj on artificial column r is d * (1 - pi_r) for the phase-1 duals
-    # pi of the sign-adjusted rows; undoing the signs gives y.
+    # obj on artificial column r is d - sigma_r * y_r, as its cost is 1.
     return False, [s * (d - obj[k + r]) for r, s in enumerate(signs)], d
 
 

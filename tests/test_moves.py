@@ -145,6 +145,15 @@ class TestClosure:
             with pytest.raises(TypeError):
                 call((1.0, 2.0))
 
+    def test_non_integer_beta_rejected(self):
+        """A float or bool beta would hash equal to an int vector of the
+        closure and get that vector's chain."""
+        for beta in ((2.0, 0.0), (True, 1)):
+            with pytest.raises(TypeError):
+                leq_kappa(beta, (0, 2))
+        found, chain = leq_kappa((2, 0), (0, 2))
+        assert found and chain.replay() == (2, 0)
+
     def test_bool_entries_do_not_poison_the_memo(self):
         moves._bfs_parents.cache_clear()
         for call in (closure, closure_order, lambda v: leq_kappa((1, 0), v)):

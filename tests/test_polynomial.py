@@ -164,6 +164,12 @@ class TestSparsePolynomial:
         with pytest.raises(ValueError):
             SparsePolynomial(2, {(-1, 0): 1})
 
+    def test_non_integer_exponent_rejected(self):
+        for exp in ((1.5, 0), (True, False), (1.0, 0)):
+            with pytest.raises(TypeError):
+                SparsePolynomial(2, {exp: 1})
+        assert SparsePolynomial(2, {(1, 0): 1}).to_json_dict()["terms"] == [{"exp": [1, 0], "coeff": 1}]
+
     def test_terms_are_read_only(self):
         before = dict(key_polynomial((0, 1)).terms)
         with pytest.raises(TypeError):

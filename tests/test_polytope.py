@@ -439,21 +439,24 @@ _REJECT_SCRIPT = textwrap.dedent(
 # The same under ``python -O`` for the stored bases of the warm start: a
 # basis answers a point it fits without a cold solve; a corrupted one is
 # caught by the check of the weights it gives; points that no stored
-# basis fits are answered by the cold solve.
+# basis fits are answered by the dual restart, or by the cold solve on a
+# hull with no stored basis yet.
 _WARM_SCRIPT = textwrap.dedent(
     """
     from fractions import Fraction
     from keypoly import polytope
     from keypoly.polytope import CertificateError, VPolytope, contains
 
-    cold = []
-    real = polytope._phase1
+    cold, restarts = [], []
 
-    def counted(*args):
-        cold.append(args[1:3])
-        return real(*args)
+    def counted(calls, real):
+        def solve(*args):
+            calls.append(args[1:3])
+            return real(*args)
+        return solve
 
-    polytope._phase1 = counted
+    polytope._phase1 = counted(cold, polytope._phase1)
+    polytope._dual_restart = counted(restarts, polytope._dual_restart)
     half, third = (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 3))
     triangle = VPolytope.from_points(2, [(0, 0), (2, 0), (0, 2)])
     if not contains(triangle, half) or len(triangle._bases) != 1:
@@ -470,7 +473,7 @@ _WARM_SCRIPT = textwrap.dedent(
         pass
     else:
         raise SystemExit("a corrupted stored basis was trusted")
-    if len(cold) != 1:
+    if len(cold) != 1 or restarts:
         raise SystemExit("the corrupted basis did not answer the point")
 
     square = VPolytope.from_points(2, [(0, 0), (2, 0), (0, 2), (2, 2)])
@@ -484,9 +487,54 @@ _WARM_SCRIPT = textwrap.dedent(
     ]
     answers = []
     for p, point in asked:
-        before = len(cold)
-        answers.append((contains(p, point), len(cold) - before))
+        before = len(cold), len(restarts)
+        answer = contains(p, point)
+        answers.append((answer, len(cold) - before[0], len(restarts) - before[1]))
     print("optimized" if not __debug__ else "debug", answers)
+    """
+)
+
+
+# The same under ``python -O`` for the dual restart: on a segment hull
+# with one stored basis, each of the three points below reaches the
+# restart (one per exit), and a flipped answer or a tampered certificate
+# from it is caught by the check.
+_RESTART_SCRIPT = textwrap.dedent(
+    """
+    from fractions import Fraction
+    from keypoly import polytope
+    from keypoly.polytope import CertificateError, VPolytope, contains
+
+    half = Fraction(1, 2)
+    asked = [(3 * half, 3 * half), (0, half), (half, 0)]
+    real = polytope._dual_restart
+    calls = []
+
+    def hull():
+        p = VPolytope.from_points(2, [(0, 0), (1, 1), (2, 2)])
+        contains(p, (half, half))
+        return p
+
+    def flip(feasible, certificate, scale):
+        return not feasible, certificate, scale
+
+    def nudge(feasible, certificate, scale):
+        if feasible:
+            return feasible, [certificate[0] + 1, *certificate[1:]], scale
+        return feasible, [-x for x in certificate], scale
+
+    honest = [contains(hull(), point) for point in asked]
+    for tamper in (flip, nudge):
+        polytope._dual_restart = lambda *args: calls.append(args[1:3]) or tamper(*real(*args))
+        for point in asked:
+            before = len(calls)
+            try:
+                contains(hull(), point)
+            except CertificateError:
+                if len(calls) == before + 1:
+                    continue
+            raise SystemExit(f"{tamper.__name__} at {point} was not caught in the restart")
+    print("optimized" if not __debug__ else "debug", honest)
     """
 )
 
@@ -511,24 +559,40 @@ class TestCertificates:
     def test_stored_bases_checked_without_asserts(self):
         proc = _run_optimized(_WARM_SCRIPT)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        # (answer, cold solves): the square's second point fits no stored
-        # basis, its third fits the first one's; the fresh triangle starts cold.
+        # (answer, cold solves, restarts): the square starts cold, its
+        # second point fits no stored basis and restarts, its third fits
+        # the first one's; the fresh triangle starts cold, then restarts.
         assert proc.stdout.startswith(
-            "optimized [(True, 1), (True, 1), (True, 0), (True, 1), (False, 1)]"
+            "optimized [(True, 1, 0), (True, 0, 1), (True, 0, 0), (True, 1, 0), (False, 0, 1)]"
         ), proc.stdout
 
+    def test_restart_certificates_checked_without_asserts(self):
+        proc = _run_optimized(_RESTART_SCRIPT)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.startswith("optimized [True, False, False]"), proc.stdout
+
     def test_answers_raise_when_certificate_breaks(self, monkeypatch):
+        """A flipped answer raises, from the cold solve of a hull with no
+        stored basis and from the restart of one with a stored basis."""
         p = VPolytope.from_points(2, [(0, 0), (2, 0), (0, 2)])
-        real = polytope._phase1
+        solved = []
+        for name in ("_phase1", "_dual_restart"):
+            real = getattr(polytope, name)
 
-        def wrong_answer(*args):
-            feasible, certificate, scale = real(*args)
-            return not feasible, certificate, scale
+            def wrong_answer(*args, name=name, real=real):
+                solved.append(name)
+                feasible, certificate, scale = real(*args)
+                return not feasible, certificate, scale
 
-        monkeypatch.setattr(polytope, "_phase1", wrong_answer)
-        for point in ((Fraction(1, 2), Fraction(1, 2)), (Fraction(3, 2), Fraction(3, 2))):
+            monkeypatch.setattr(polytope, name, wrong_answer)
+        for point, solver in (
+            ((Fraction(1, 2), Fraction(1, 2)), "_phase1"),
+            ((Fraction(3, 2), Fraction(3, 2)), "_dual_restart"),
+        ):
+            solved.clear()
             with pytest.raises(polytope.CertificateError):
                 contains(p, point)
+            assert solved == [solver], point
 
 
 def _is_root_direction(v):
@@ -664,6 +728,7 @@ class TestSupport:
 
         monkeypatch.setattr(polytope, "contains", refuse)
         monkeypatch.setattr(polytope, "_phase1", refuse)
+        monkeypatch.setattr(polytope, "_dual_restart", refuse)
         assert lattice_points(p) == {(3, 2, 1), (3, 1, 2), (2, 3, 1), (2, 2, 2), (1, 3, 2)}
         assert polytope_equal(p, q)
         assert not polytope_equal(p, newton_polytope(key_polynomial((2, 3, 1))))
@@ -730,10 +795,11 @@ class TestWarmStart:
     def test_rado_answers_match_a_cold_hull_and_the_reference(self, monkeypatch):
         """Every contains call of the rado sweep at n = 3 gets the same
         answer from its long-lived hull, from a fresh hull of the same
-        generators and from the Fraction reference, and the stored bases
-        save cold solves."""
+        generators and from the Fraction reference; the stored bases save
+        cold solves, and the dual restart saves more of them than solving
+        every miss cold would."""
         asked = []
-        counts = {"_convex_feasible": 0, "_phase1": 0}
+        counts = {"_convex_feasible": 0, "_phase1": 0, "_dual_restart": 0}
         for name in counts:
             real = getattr(polytope, name)
 
@@ -753,11 +819,27 @@ class TestWarmStart:
         assert verify.suite_rado(3, 3).passed
         monkeypatch.undo()
         # _convex_feasible runs once per call past the cheap rejections and
-        # the generator shortcut; _phase1 once per cold solve.
-        assert 0 < counts["_phase1"] < counts["_convex_feasible"] <= len(asked)
+        # the generator shortcut; _phase1 once per cold solve and
+        # _dual_restart once per miss of a hull with stored bases.
+        solves = counts["_phase1"] + counts["_dual_restart"]
+        assert 0 < counts["_phase1"] and 0 < counts["_dual_restart"]
+        assert solves < counts["_convex_feasible"] <= len(asked)
         for p, point, answer in asked:
             assert answer == contains(VPolytope(p.n, p.generators), point), (p, point)
             assert answer == reference_feasible(p.generators, point), (p, point)
+
+        # The same sweep with every miss solved cold, as before the restart.
+        cold = []
+        real = polytope._phase1
+
+        def cold_solve(*args):
+            cold.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(polytope, "_phase1", cold_solve)
+        monkeypatch.setattr(polytope, "_dual_restart", cold_solve)
+        assert verify.suite_rado(3, 3).passed
+        assert counts["_phase1"] < len(cold)
 
     def test_stored_bases_invert_their_columns(self):
         """d * B^-1 times each basic column of B is d times a unit vector:
@@ -784,3 +866,74 @@ class TestWarmStart:
         answers = [contains(forward, q) for q in points]
         assert answers[::-1] == [contains(backward, q) for q in reversed(points)]
         assert answers == [reference_feasible(generators, q) for q in points]
+
+
+@st.composite
+def seeded_hulls(draw):
+    """A random hull, a convex combination of its generators to seed its
+    stored bases with, and rational points to ask afterwards: random
+    ones and affine combinations of the generators, which lie on the
+    hull's affine span, inside the hull or not."""
+    n = draw(st.integers(1, 4))
+    generators = draw(st.lists(st.tuples(*[st.integers(-2, 3)] * n), min_size=2, max_size=7))
+    k = len(generators)
+
+    def combination(low):
+        w = draw(st.lists(st.integers(low, 3), min_size=k, max_size=k).filter(lambda w: sum(w) > 0))
+        return tuple(Fraction(sum(a * g[i] for a, g in zip(w, generators)), sum(w)) for i in range(n))
+
+    seed = combination(0)
+    coordinate = st.fractions(-3, 4, max_denominator=4)
+    points = [
+        combination(-1) if draw(st.booleans()) else tuple(draw(st.lists(coordinate, min_size=n, max_size=n)))
+        for _ in range(draw(st.integers(1, 8)))
+    ]
+    return n, tuple(generators), seed, points
+
+
+class TestDualRestart:
+    @_RANDOM
+    @given(seeded_hulls())
+    def test_answers_after_one_feasible_answer_match_the_reference(self, case):
+        n, generators, seed, points = case
+        p = VPolytope(n, generators)
+        assert contains(p, seed)
+        assume(p._bases)  # a seed that is a generator stores no basis
+        for q in points:
+            assert contains(p, q) == reference_feasible(generators, q), q
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_each_exit_is_reached(self, monkeypatch, sign):
+        """On the segment from (0, 0) to (2, 2) through (1, 1), the basis
+        stored for (1/2, 1/2) keeps the artificial of the second
+        coordinate row, with sign +1.  (3/2, 3/2) is in the hull but not
+        in that basis's cone: exit 1.  (0, 1/2) needs that artificial at
+        a positive level: exit 2.  (1/2, 0) would need it negative, so
+        its row has no negative entry: exit 3.  The mirror image, with
+        every coordinate negated, keeps that artificial with sign -1."""
+        half = Fraction(sign, 2)
+        p = VPolytope.from_points(2, [(0, 0), (sign, sign), (2 * sign, 2 * sign)])
+        assert contains(p, (half, half))
+        assert len(p._bases) == 1
+        exits = []
+        read = []
+        real_restart, real_read = polytope._dual_restart, polytope._read_optimum
+
+        def restart(*args):
+            read.clear()
+            answer = real_restart(*args)
+            exits.append(1 if answer[0] else 2 if read else 3)
+            return answer
+
+        def read_optimum(*args):
+            read.append(args)
+            return real_read(*args)
+
+        monkeypatch.setattr(polytope, "_dual_restart", restart)
+        monkeypatch.setattr(polytope, "_read_optimum", read_optimum)
+        answers = [contains(p, q) for q in [(3 * half, 3 * half), (0, half), (half, 0)]]
+        assert answers == [True, False, False]
+        assert exits == [1, 2, 3]
+        # Exit 1 put its basis in front, and it answers its point warm.
+        assert len(p._bases) == 2
+        assert contains(p, (3 * half, 3 * half)) and exits == [1, 2, 3]
