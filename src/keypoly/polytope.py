@@ -372,10 +372,14 @@ def _dual_restart(
     columns, rows, d = bases[0]
     k = len(generators)
     m = len(num) + 1
+    # y = d * c_B * B^-1 is the sum of the rows whose basic column is
+    # an artificial, the columns of cost 1.
     signs = [1] * m
+    y = [0] * m
     for j, row in zip(columns, rows):
         if j >= k:
             signs[j - k] = 1 if row[j - k] > 0 else -1
+            y = list(map(add, y, row))
     eligible = [*range(k), *sorted(j for j in columns if j >= k)]
     vectors = [(1, *g) for g in generators]
     rhs = (den, *num)
@@ -386,13 +390,9 @@ def _dual_restart(
         [sum(map(mul, row, v)) for v in vectors] + list(map(mul, row, signs)) + [sum(map(mul, row, rhs))]
         for row in rows
     ]
-    # obj is d * (cost - pi . column) for the duals pi = c_B * B^-1, and
-    # y = d * pi is the sum of the rows whose basic column is an
-    # artificial, the columns of cost 1.
-    y = [0] * m
-    for j, row in zip(columns, rows):
-        if j >= k:
-            y = list(map(add, y, row))
+    # obj holds d * cost - y . column, the reduced costs of B times d
+    # (>= 0 on the generators, as B was phase-1 optimal), and
+    # -y . (den, num), minus the artificial sum times d.
     obj = [-sum(map(mul, y, v)) for v in vectors]
     obj += [d - s * t for s, t in zip(signs, y)] + [-sum(map(mul, y, rhs))]
     basis = list(columns)
