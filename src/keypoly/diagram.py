@@ -33,6 +33,8 @@ class Diagram:
     columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise ValueError(f"n must be an int, got {self.n!r}")
         if len(self.columns) != self.n:
             raise ValueError(f"expected {self.n} columns, got {len(self.columns)}")
         for col in self.columns:
@@ -63,7 +65,15 @@ class Diagram:
 
     @classmethod
     def from_json_dict(cls, data) -> Diagram:
-        return cls.make(data["n"], data["columns"])
+        """Inverse of ``to_json_dict``; raises ValueError on any other
+        shape, since the data may come from outside the program."""
+        try:
+            n, columns = data["n"], [list(col) for col in data["columns"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed diagram JSON: {type(exc).__name__} {exc}") from None
+        if any(type(r) is not int for col in columns for r in col):
+            raise ValueError(f"diagram rows must be ints, got {columns}")
+        return cls.make(n, columns)
 
 
 def skyline(alpha: Sequence[int]) -> Diagram:

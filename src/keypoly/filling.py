@@ -94,9 +94,17 @@ class Filling:
 
     @classmethod
     def from_json_dict(cls, data) -> Filling:
-        d = Diagram.from_json_dict(data["diagram"])
-        by_box = {(e["row"], e["col"]): e["val"] for e in data["entries"]}
-        if len(by_box) != len(data["entries"]):
+        """Inverse of ``to_json_dict``; raises ValueError on any other
+        shape, since the data may come from outside the program."""
+        try:
+            d = Diagram.from_json_dict(data["diagram"])
+            entries = [(e["row"], e["col"], e["val"]) for e in data["entries"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed filling JSON: {type(exc).__name__} {exc}") from None
+        if any(type(x) is not int for entry in entries for x in entry):
+            raise ValueError(f"filling entries must be ints, got {entries}")
+        by_box = {(r, c): v for r, c, v in entries}
+        if len(by_box) != len(entries):
             raise ValueError("duplicate box in filling entries")
         cols = []
         for j, rows in enumerate(d.columns, start=1):

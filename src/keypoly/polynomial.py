@@ -322,61 +322,58 @@ def _pi_packed(terms: dict[int, int], low: int, base: int) -> dict[int, int]:
     return {e: c for e, c in out.items() if c}
 
 
-# (alpha, pivot) -> the key of alpha, in one form: the SparsePolynomial
-# once key_polynomial has handed it out, else the packed terms (base
+# alpha -> the key of alpha, in one form: the SparsePolynomial once
+# key_polynomial has handed it out, else the packed terms (base
 # max(alpha) + 1) of an intermediate of the pi_i recursion.
-_KEY_CACHE: dict[tuple[tuple[int, ...], str], SparsePolynomial | dict[int, int]] = {}
+_KEY_CACHE: dict[tuple[int, ...], SparsePolynomial | dict[int, int]] = {}
 
 # (base, n) -> packed exponent -> its tuple, for every exponent of a key
 # handed out so far; those keys share these tuples.
 _KEY_EXPONENTS: dict[tuple[int, int], dict[int, tuple[int, ...]]] = {}
 
 
-def key_polynomial(alpha: Sequence[int], *, pivot: str = "leftmost") -> SparsePolynomial:
+def key_polynomial(alpha: Sequence[int]) -> SparsePolynomial:
     """The key polynomial of the composition alpha.
 
     A weakly decreasing alpha yields the single monomial x^alpha; otherwise
-    the recursion applies pi_i across the chosen ascent (alpha_i <
+    the recursion applies pi_i across the leftmost ascent (alpha_i <
     alpha_{i+1}).  The result is independent of which ascent is chosen;
-    ``pivot`` ("leftmost" or "rightmost") only fixes the recursion path so
-    memoized results are reproducible.
+    fixing one only makes the recursion path, and so the memo, reproducible.
     """
     a = tuple(alpha)
     if any(isinstance(p, bool) or not isinstance(p, int) or p < 0 for p in a):
         raise ValueError(f"composition parts must be nonnegative integers, got {a}")
-    if pivot not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown pivot rule {pivot!r}")
-    cached = _KEY_CACHE.get((a, pivot))
+    cached = _KEY_CACHE.get(a)
     if isinstance(cached, SparsePolynomial):
         return cached
     n = len(a)
     base = max(a, default=0) + 1
     known = _KEY_EXPONENTS.setdefault((base, n), {})
-    result = SparsePolynomial._unchecked(n, _unpack_terms(_packed_key(a, pivot, base), base, n, known))
-    _KEY_CACHE[(a, pivot)] = result
+    result = SparsePolynomial._unchecked(n, _unpack_terms(_packed_key(a, base), base, n, known))
+    _KEY_CACHE[a] = result
     return result
 
 
-def _packed_key(a: tuple[int, ...], pivot: str, base: int) -> dict[int, int]:
-    """The packed terms of key(a).  Walks down the pivot chain to a memo
-    entry or a weakly decreasing composition, then applies pi_i on the
-    way back up, memoizing each intermediate packed.  Every composition
-    on the chain rearranges a, so they all share one base."""
+def _packed_key(a: tuple[int, ...], base: int) -> dict[int, int]:
+    """The packed terms of key(a).  Walks down the chain of leftmost
+    ascents to a memo entry or a weakly decreasing composition, then
+    applies pi_i on the way back up, memoizing each intermediate packed.
+    Every composition on the chain rearranges a, so they all share one
+    base."""
     chain = []
     while True:
-        cached = _KEY_CACHE.get((a, pivot))
+        cached = _KEY_CACHE.get(a)
         if cached is not None:
             terms = cached if isinstance(cached, dict) else _pack_terms(cached._terms, base)
             break
-        ascents = [k for k in range(len(a) - 1) if a[k] < a[k + 1]]
-        if not ascents:
-            terms = _KEY_CACHE[(a, pivot)] = {_pack(a, base): 1}
+        k = next((k for k in range(len(a) - 1) if a[k] < a[k + 1]), None)
+        if k is None:
+            terms = _KEY_CACHE[a] = {_pack(a, base): 1}
             break
-        k = ascents[0] if pivot == "leftmost" else ascents[-1]
         chain.append((a, k))
         a = a[:k] + (a[k + 1], a[k]) + a[k + 2:]
     for above, k in reversed(chain):
-        terms = _KEY_CACHE[(above, pivot)] = _pi_packed(terms, base**k, base)
+        terms = _KEY_CACHE[above] = _pi_packed(terms, base**k, base)
     return terms
 
 

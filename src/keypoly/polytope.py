@@ -27,7 +27,8 @@ back to the LP below; which path runs depends only on the generators.
 from LP certificates, never from support values: for a permutohedron h(S)
 is the sum of the |S| largest parts, so its inequalities are dominance
 itself, and ``rado`` compares inclusion with dominance.  The LP starts
-from the bases of the hull's earlier feasible answers.
+from a basis the hull stores: its crash basis, or the final basis of
+one of its earlier feasible answers.
 
 For the LP, a rational point p is scaled once to integer numerators over
 one common denominator den, and its membership is the feasibility of the
@@ -35,26 +36,26 @@ integer system
 
     lambda >= 0,  sum lambda_s = den,  sum lambda_s * s = den * p,
 
-decided by a fraction-free simplex: every tableau entry is a Python
-int over one shared denominator, the previous pivot (Bareiss).
-Bland's smallest-index pivoting rule rules out cycling, so the method
-terminates, and with exact arithmetic every answer is reproducible bit
-for bit.
+decided by a fraction-free dual simplex: every tableau entry is a Python
+int over one shared denominator, the previous pivot (Bareiss), so with
+exact arithmetic every answer is reproducible bit for bit.
 
-Each hull keeps the final basis B of every feasible solve, with the
-integer matrix d * B^-1 that the final tableau already holds.
-``contains`` first tries these bases, most recently useful first: one
-matrix-vector product d * B^-1 (den, num) gives the point's weights in
-that basis, and a basis with nonnegative generator weights and zero
-artificial weights answers "yes".  When none fits, a dual simplex
-(Lemke 1954) restarts from the front basis: that basis was phase-1
-optimal, and reduced costs do not depend on the right-hand side, so it
-is still dual feasible, and a few dual pivots repair the changed
-right-hand side.  It runs fraction-free like phase 1, through the same
-pivot, with the dual form of Bland's rule.  Only a hull with no stored
-basis yet runs phase 1 from the all-artificial basis.  The bases only
-shorten the search for a certificate; each answer is still checked as
-below, so which path ran never changes an answer.
+Each hull keeps a list of bases B of the rows (1, s), each with the
+integer matrix d * B^-1.  The list starts with a crash basis, built once
+per hull (``_crash_basis``), whose reduced costs for the phase-1
+objective, the artificial sum, are all 0: it is dual feasible for every
+point.  ``contains`` first tries the stored bases, most recently
+useful first: one matrix-vector product d * B^-1 (den, num) gives the
+point's weights in that basis, and a basis with nonnegative generator
+weights and zero artificial weights answers "yes".  When none fits, the
+dual simplex (Lemke 1954) starts from the front basis: reduced costs do
+not depend on the right-hand side, so that basis is still dual feasible,
+and dual pivots under the dual form of Bland's smallest-index rule,
+which rules out cycling, repair the right-hand side.  A solve that ends
+feasible is phase-1 optimal on the columns it kept, so its final basis,
+stored in front, is dual feasible for every later point too.  The bases
+only shorten the search for a certificate; each answer is still checked
+as below, so which basis a solve starts from never changes an answer.
 
 Every LP answer carries a certificate that is checked before it is
 returned.  A "yes" is a nonnegative integer combination of the
@@ -94,7 +95,7 @@ class CertificateError(ArithmeticError):
     """An exact membership answer failed the check of its own certificate."""
 
 
-# A stored feasible basis (columns, rows, d); see ``VPolytope._bases``.
+# A stored basis (columns, rows, d); see ``VPolytope._bases``.
 _Basis = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]
 
 
@@ -134,12 +135,12 @@ class VPolytope:
 
     @cached_property
     def _bases(self) -> list[_Basis]:
-        """The final bases of this hull's feasible LP answers, cold or
-        restarted, most recently useful first, each as
-        ``(columns, rows, d)``: the basic column of each row (a
+        """The bases the LP starts from, most recently useful first, each
+        as ``(columns, rows, d)``: the basic column of each row (a
         generator index, or k + r for the artificial of row r), and the
-        rows of d * B^-1."""
-        return []
+        rows of d * B^-1.  The list starts with the crash basis, and every
+        feasible dual-simplex answer adds its final basis in front."""
+        return [_crash_basis(self.generators)]
 
     @cached_property
     def support(self) -> tuple[int, ...] | None:
@@ -230,9 +231,8 @@ def _convex_feasible(p: VPolytope, num: tuple[int, ...], den: int) -> bool:
     The stored bases of p are tried first: a basis whose weights for
     (den, num) are nonnegative on its generators and zero on its
     artificials is a feasible basis for this point too, and its weights
-    are the certificate.  Otherwise the dual simplex restarts from the
-    front stored basis, and only a hull with no stored basis yet runs the
-    cold phase-1 simplex.  A feasible answer's basis joins the front of
+    are the certificate.  Otherwise the dual simplex starts from the
+    front stored basis, and a feasible answer's basis joins the front of
     the list.
     """
     generators = p.generators
@@ -241,8 +241,7 @@ def _convex_feasible(p: VPolytope, num: tuple[int, ...], den: int) -> bool:
     if warm is not None:
         _check_combination(generators, num, den, *warm)
         return True
-    solve = _dual_restart if bases else _phase1
-    feasible, certificate, scale = solve(generators, num, den, bases)
+    feasible, certificate, scale = _dual_restart(generators, num, den, bases)
     if feasible:
         _check_combination(generators, num, den, certificate, scale)
     else:
@@ -280,67 +279,42 @@ def _warm_start(
     return None
 
 
-def _phase1(
-    generators: Sequence[tuple[int, ...]],
-    num: tuple[int, ...],
-    den: int,
-    bases: list[_Basis] | None = None,
-) -> tuple[bool, list[int], int]:
-    """Fraction-free phase-1 simplex with Bland's rule on the convex
-    combination system.
+def _crash_basis(generators: Sequence[tuple[int, ...]]) -> _Basis:
+    """A basis of the rows (1, g) that is dual feasible for every point.
 
-    Returns ``(True, lam, d)`` when the system is feasible, where lam are
-    integer weights with ``sum lam == d * den`` and ``sum lam_s * s ==
-    d * num``; or ``(False, y, d)``, where y is a Farkas vector over the
-    rows (convexity row first) with ``y . (1, s) <= 0`` for every
-    generator s and ``y . (den, num) > 0``.  The caller checks either.
-    A feasible answer also puts its final basis at the front of bases,
-    when given, in the form ``_warm_start`` reads.
+    From the all-artificial tableau [A | I] of the generator columns
+    (1, g), each generator column in turn enters at the first row whose
+    artificial is still basic and where the column is nonzero, that row
+    negated first if the entry is negative.  A column that enters is then
+    zero off its row, and one that finds no row is zero on every row
+    whose artificial is still basic; later pivots, on such rows, keep
+    both so.  The rows whose artificial stays basic thus end zero on
+    every generator column, and the reduced costs of the phase-1
+    objective are all 0.  Those rows were never negated, so the column of
+    each basic artificial is d times a unit vector, with sign +1.
     """
     k = len(generators)
-    m = len(num) + 1  # one convexity row plus one row per coordinate
-    # Equality rows [A | I | b], negated where b < 0 so that b >= 0.
-    signs = [1] + [-1 if x < 0 else 1 for x in num]
-    tableau: list[list[int]] = []
-    for r in range(m):
-        s = signs[r]
-        if r == 0:
-            row = [1] * k + [0] * m + [den]
-        else:
-            row = [s * g[r - 1] for g in generators] + [0] * m + [s * num[r - 1]]
+    m = len(generators[0]) + 1
+    tableau = [[1] * k] + [list(column) for column in zip(*generators)]
+    for r, row in enumerate(tableau):
+        row += [0] * m
         row[k + r] = 1
-        tableau.append(row)
     basis = list(range(k, k + m))
-
-    # Phase-1 objective: minimize the artificial sum.  Reduced cost row,
-    # with the rhs cell holding minus the current objective value.
-    totals = [sum(column) for column in zip(*tableau)]
-    obj = [-t for t in totals[:k]] + [0] * m + [-totals[-1]]
-
-    # Every row, obj included, holds its true values times d, where d is
-    # the current basis determinant; it starts at 1 and each pivot p > 0
-    # becomes the next d, so divisions by d are exact and signs match the
-    # rational tableau's.
+    free = list(range(m))  # rows whose artificial is still basic
+    unused = [0] * (k + m)  # the objective row _pivot updates; the crash has none
     d = 1
-    while True:
-        enter = next((c for c in range(k + m) if obj[c] < 0), None)
-        if enter is None:
-            break
-        leave = None
-        for r, row in enumerate(tableau):
-            a = row[enter]
-            if a > 0:
-                if leave is None:
-                    leave, best_rhs, best_a = r, row[-1], a
-                    continue
-                lhs, rhs = row[-1] * best_a, best_rhs * a
-                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
-                    leave, best_rhs, best_a = r, row[-1], a
+    for j in range(k):
+        leave = next((r for r in free if tableau[r][j]), None)
         if leave is None:
-            raise CertificateError("phase-1 objective is bounded below, yet no row can leave")
-        d = _pivot(tableau, obj, leave, enter, d)
-        basis[leave] = enter
-    return _read_optimum(tableau, obj, basis, d, signs, bases)
+            continue
+        if tableau[leave][j] < 0:
+            tableau[leave] = [-x for x in tableau[leave]]
+        d = _pivot(tableau, unused, leave, j, d)
+        basis[leave] = j
+        free.remove(leave)
+        if not free:
+            break
+    return tuple(basis), tuple(tuple(row[k:]) for row in tableau), d
 
 
 def _dual_restart(
@@ -349,52 +323,48 @@ def _dual_restart(
     den: int,
     bases: list[_Basis],
 ) -> tuple[bool, list[int], int]:
-    """Fraction-free dual simplex with Bland's rule from the front basis
-    of bases, for a point that basis does not fit; same answers as
-    ``_phase1``.
+    """Fraction-free dual simplex with Bland's rule on the convex
+    combination system, from the front basis of bases, for a point that
+    basis does not fit.
 
-    The stored basis B was phase-1 optimal, and reduced costs do not
-    depend on the right-hand side, so B is dual feasible for (den, num).
-    The tableau is d * B^-1 times the generator columns (1, g) and the
-    artificials basic in B: the artificial of row r has column
-    sigma_r * e_r, and its sign sigma_r is read off d * B^-1, where that
-    column is sigma_r * d times a unit vector.  The other artificials
-    are dropped.  Any weights that put the point in the hull still solve
-    the smaller system with artificial sum 0, so a positive optimum, or a
-    row that proves it infeasible, still puts the point outside.
+    Returns ``(True, lam, d)`` when the system is feasible, where lam are
+    integer weights with ``sum lam == d * den`` and ``sum lam_s * s ==
+    d * num``, and puts the final basis at the front of bases; or
+    ``(False, y, d)``, where y is a Farkas vector over the rows
+    (convexity row first) with ``y . (1, s) <= 0`` for every generator s
+    and ``y . (den, num) > 0``.  The caller checks either.
+
+    The phase-1 objective minimizes the sum of the artificials, the
+    column e_r of row r.  The stored basis B is dual feasible for it
+    whatever the right-hand side (see the module docstring) on the
+    generator columns and its basic artificials, the only artificials
+    that may enter: the others are dropped.  Any weights that put the point in the hull still solve the
+    smaller system with artificial sum 0, so a positive optimum, or a row
+    that proves it infeasible, still puts the point outside.
 
     Each step the basic variable of smallest index among those of
     negative value leaves, and the column of smallest ratio reduced cost
     / |entry| among its negative entries enters, ties to the smallest
     index.  The leaving row is negated first, so that the pivot, the next
-    d, is positive.
+    d, is positive, and every basic column stays d times a unit vector.
     """
     columns, rows, d = bases[0]
     k = len(generators)
-    m = len(num) + 1
     # y = d * c_B * B^-1 is the sum of the rows whose basic column is
     # an artificial, the columns of cost 1.
-    signs = [1] * m
-    y = [0] * m
+    y = [0] * (len(num) + 1)
     for j, row in zip(columns, rows):
         if j >= k:
-            signs[j - k] = 1 if row[j - k] > 0 else -1
             y = list(map(add, y, row))
     eligible = [*range(k), *sorted(j for j in columns if j >= k)]
     vectors = [(1, *g) for g in generators]
     rhs = (den, *num)
-    # In the layout of _phase1's tableau, row i is row i of d * B^-1
-    # times the generator columns, the artificial columns sigma_r * e_r
-    # and (den, num).
-    tableau = [
-        [sum(map(mul, row, v)) for v in vectors] + list(map(mul, row, signs)) + [sum(map(mul, row, rhs))]
-        for row in rows
-    ]
-    # obj holds d * cost - y . column, the reduced costs of B times d
-    # (>= 0 on the generators, as B was phase-1 optimal), and
-    # -y . (den, num), minus the artificial sum times d.
-    obj = [-sum(map(mul, y, v)) for v in vectors]
-    obj += [d - s * t for s, t in zip(signs, y)] + [-sum(map(mul, y, rhs))]
+    # Row i is row i of d * B^-1 times the generator columns, the
+    # artificial columns (so row i itself) and (den, num).
+    tableau = [[sum(map(mul, row, v)) for v in vectors] + [*row, sum(map(mul, row, rhs))] for row in rows]
+    # obj holds d * cost - y . column, the reduced costs of B times d,
+    # and -y . (den, num), minus the artificial sum times d.
+    obj = [-sum(map(mul, y, v)) for v in vectors] + [d - t for t in y] + [-sum(map(mul, y, rhs))]
     basis = list(columns)
     while True:
         leave = min((r for r, row in enumerate(tableau) if row[-1] < 0), key=basis.__getitem__, default=None)
@@ -410,11 +380,20 @@ def _dual_restart(
         if enter is None:
             # Row leave of B^-1 is >= 0 on every generator column (1, g),
             # yet negative on (den, num).
-            return False, [-x * s for x, s in zip(row[k:-1], signs)], d
+            return False, [-x for x in row[k:-1]], d
         tableau[leave] = [-x for x in row]
         d = _pivot(tableau, obj, leave, enter, d)
         basis[leave] = enter
-    return _read_optimum(tableau, obj, basis, d, signs, bases)
+    if obj[-1]:
+        # obj on artificial column r is d - y_r, as its cost is 1.
+        return False, [d - x for x in obj[k:-1]], d
+    lam = [0] * k
+    for r, j in enumerate(basis):
+        if j < k:
+            lam[j] = tableau[r][-1]
+    # The artificial columns hold the new d * B^-1.
+    bases.insert(0, (tuple(basis), tuple(tuple(row[k:-1]) for row in tableau), d))
+    return True, lam, d
 
 
 def _pivot(tableau: list[list[int]], obj: list[int], leave: int, enter: int, d: int) -> int:
@@ -432,37 +411,6 @@ def _pivot(tableau: list[list[int]], obj: list[int], leave: int, enter: int, d: 
     f = obj[enter]
     obj[:] = [(x * p - f * y) // d for x, y in zip(obj, pivot_row)]
     return p
-
-
-def _read_optimum(
-    tableau: list[list[int]],
-    obj: list[int],
-    basis: list[int],
-    d: int,
-    signs: list[int],
-    bases: list[_Basis] | None,
-) -> tuple[bool, list[int], int]:
-    """The answer of an optimal, feasible phase-1 tableau whose artificial
-    columns k + r are sigma_r * e_r in the rows (1, s), sigma = signs.
-
-    A zero artificial sum gives the weights of the basic generators, and
-    the basis joins the front of bases; a positive one the Farkas vector
-    y = d * c_B * B^-1.
-    """
-    k = len(tableau[0]) - len(signs) - 1
-    if obj[-1] == 0:
-        lam = [0] * k
-        for r, j in enumerate(basis):
-            if j < k:
-                lam[j] = tableau[r][-1]
-        if bases is not None:
-            # The artificial columns hold d * B^-1 with column r times
-            # sigma_r; undoing the signs gives d * B^-1 of the rows (1, s).
-            rows = tuple(tuple(row[k + r] * s for r, s in enumerate(signs)) for row in tableau)
-            bases.insert(0, (tuple(basis), rows, d))
-        return True, lam, d
-    # obj on artificial column r is d - sigma_r * y_r, as its cost is 1.
-    return False, [s * (d - obj[k + r]) for r, s in enumerate(signs)], d
 
 
 def _check_combination(

@@ -164,6 +164,29 @@ class TestOpt:
         code, _, _ = run(capsys, ["opt", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({}, "KeyError 'diagram'"),
+            ({"diagram": {"n": 2}}, "KeyError 'columns'"),
+            ([1], "TypeError"),
+            ({"diagram": {"n": 2, "columns": [[1], [2]]}, "entries": [{"row": 1, "val": 1}]}, "KeyError 'col'"),
+            ({"diagram": {"n": 2, "columns": [[1], [2]]}, "entries": 5}, "TypeError"),
+            ({"diagram": {"n": "2", "columns": [[1], [2]]}, "entries": []}, "n must be an int, got '2'"),
+            ({"diagram": {"n": 1, "columns": [["1"]]}, "entries": []}, "diagram rows must be ints"),
+            (
+                {"diagram": {"n": 1, "columns": [[1]]}, "entries": [{"row": 1, "col": 1, "val": "1"}]},
+                "filling entries must be ints",
+            ),
+        ],
+    )
+    def test_malformed_filling_exits_2(self, tmp_path, capsys, data, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, ["opt", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err, err
+
 
 class TestVerify:
     def test_small_run_writes_report(self, tmp_path, capsys, monkeypatch):

@@ -9,6 +9,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keypoly.diagram import Diagram, skyline
 from keypoly.filling import (
@@ -388,3 +390,16 @@ class TestWitnessFilling:
                     assert weight(f) == beta
                     back = descend_to_alpha(f)
                     assert back.start == alpha and back.replay() == beta
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_round_trip_with_descend_at_n4_and_n5(self, data):
+        n = data.draw(st.integers(4, 5))
+        alpha = tuple(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+        beta = data.draw(st.sampled_from(sorted(closure(alpha))))
+        ok, chain = leq_kappa(beta, alpha)
+        assert ok
+        f = witness_filling(alpha, chain)
+        assert weight(f) == beta
+        back = descend_to_alpha(f)
+        assert back.start == alpha and back.replay() == beta
