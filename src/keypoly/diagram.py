@@ -38,8 +38,8 @@ class Diagram:
         if len(self.columns) != self.n:
             raise ValueError(f"expected {self.n} columns, got {len(self.columns)}")
         for col in self.columns:
-            if any(not 1 <= r <= self.n for r in col):
-                raise ValueError(f"row index out of range 1..{self.n} in column {col}")
+            if any(type(r) is not int or not 1 <= r <= self.n for r in col):
+                raise ValueError(f"diagram rows must be ints in 1..{self.n}, got column {col}")
             if any(col[k] >= col[k + 1] for k in range(len(col) - 1)):
                 raise ValueError(f"column {col} is not strictly increasing")
 
@@ -71,6 +71,8 @@ class Diagram:
             n, columns = data["n"], [list(col) for col in data["columns"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed diagram JSON: {type(exc).__name__} {exc}") from None
+        # Checked before ``make`` sorts the rows, which would raise
+        # TypeError on rows that do not compare, such as ["a", 1].
         if any(type(r) is not int for col in columns for r in col):
             raise ValueError(f"diagram rows must be ints, got {columns}")
         return cls.make(n, columns)

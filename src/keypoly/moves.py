@@ -64,7 +64,11 @@ class Move:
 
     @classmethod
     def from_json_dict(cls, data) -> Move:
-        return cls(data["kind"], data["i"], data["j"])
+        try:
+            kind, i, j = data["kind"], data["i"], data["j"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed move JSON: {type(exc).__name__} {exc}") from None
+        return cls(kind, i, j)
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,11 @@ class MoveChain:
 
     @classmethod
     def from_json_dict(cls, data) -> MoveChain:
-        return cls(tuple(data["start"]), tuple(Move.from_json_dict(m) for m in data["moves"]))
+        try:
+            start, moves = tuple(data["start"]), list(data["moves"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed move chain JSON: {type(exc).__name__} {exc}") from None
+        return cls(start, tuple(map(Move.from_json_dict, moves)))
 
 
 def apply_move(v: Sequence[int], mv: Move) -> tuple[int, ...]:

@@ -194,7 +194,11 @@ class SparsePolynomial:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> SparsePolynomial:
-        return cls(data["n"], {tuple(t["exp"]): t["coeff"] for t in data["terms"]})
+        try:
+            n, terms = data["n"], {tuple(t["exp"]): t["coeff"] for t in data["terms"]}
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed polynomial JSON: {type(exc).__name__} {exc}") from None
+        return cls(n, terms)
 
     def __repr__(self) -> str:
         return f"SparsePolynomial({self.n}, {dict(self.canonical_terms())!r})"

@@ -26,9 +26,10 @@ back to the LP below; which path runs depends only on the generators.
 ``contains`` and ``polytope_subset`` (hence the ``rado`` suite) answer
 from LP certificates, never from support values: for a permutohedron h(S)
 is the sum of the |S| largest parts, so its inequalities are dominance
-itself, and ``rado`` compares inclusion with dominance.  The LP starts
-from a basis the hull stores: its crash basis, or the final basis of
-one of its earlier feasible answers.
+itself, and ``rado`` compares inclusion with dominance.  In
+``polytope_subset(p, q)``, when the generator set of q is closed under
+permuting coordinates, so is q, and a point lies in q iff its ascending
+rearrangement does, so one LP per orbit of p's generators suffices.
 
 For the LP, a rational point p is scaled once to integer numerators over
 one common denominator den, and its membership is the feasibility of the
@@ -40,22 +41,16 @@ decided by a fraction-free dual simplex: every tableau entry is a Python
 int over one shared denominator, the previous pivot (Bareiss), so with
 exact arithmetic every answer is reproducible bit for bit.
 
-Each hull keeps a list of bases B of the rows (1, s), each with the
-integer matrix d * B^-1.  The list starts with a crash basis, built once
-per hull (``_crash_basis``), whose reduced costs for the phase-1
-objective, the artificial sum, are all 0: it is dual feasible for every
-point.  ``contains`` first tries the stored bases, most recently
-useful first: one matrix-vector product d * B^-1 (den, num) gives the
-point's weights in that basis, and a basis with nonnegative generator
-weights and zero artificial weights answers "yes".  When none fits, the
-dual simplex (Lemke 1954) starts from the front basis: reduced costs do
-not depend on the right-hand side, so that basis is still dual feasible,
-and dual pivots under the dual form of Bland's smallest-index rule,
-which rules out cycling, repair the right-hand side.  A solve that ends
-feasible is phase-1 optimal on the columns it kept, so its final basis,
-stored in front, is dual feasible for every later point too.  The bases
-only shorten the search for a certificate; each answer is still checked
-as below, so which basis a solve starts from never changes an answer.
+Every solve starts from the hull's crash basis B of the rows (1, s),
+stored with the integer matrix d * B^-1 and built once from the
+generators alone (``_crash_basis``).  Its reduced costs for the phase-1
+objective, the artificial sum, are all 0, so it is dual feasible for
+every point.  Reduced costs do not depend on the right-hand side, so the
+dual simplex (Lemke 1954) starts from it for any point: dual pivots
+under the dual form of Bland's smallest-index rule, which rules out
+cycling, repair the right-hand side, and a point the crash basis already
+fits takes no pivot.  No solve changes the hull, so an answer does not
+depend on which questions came before it.
 
 Every LP answer carries a certificate that is checked before it is
 returned.  A "yes" is a nonnegative integer combination of the
@@ -95,7 +90,7 @@ class CertificateError(ArithmeticError):
     """An exact membership answer failed the check of its own certificate."""
 
 
-# A stored basis (columns, rows, d); see ``VPolytope._bases``.
+# A basis (columns, rows, d); see ``VPolytope._crash``.
 _Basis = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]
 
 
@@ -134,13 +129,19 @@ class VPolytope:
         return frozenset(self.generators)
 
     @cached_property
-    def _bases(self) -> list[_Basis]:
-        """The bases the LP starts from, most recently useful first, each
-        as ``(columns, rows, d)``: the basic column of each row (a
-        generator index, or k + r for the artificial of row r), and the
-        rows of d * B^-1.  The list starts with the crash basis, and every
-        feasible dual-simplex answer adds its final basis in front."""
-        return [_crash_basis(self.generators)]
+    def _crash(self) -> _Basis:
+        """The basis every LP solve on this hull starts from, as
+        ``(columns, rows, d)``: the basic column of each row (a generator
+        index, or k + r for the artificial of row r), and the rows of
+        d * B^-1; see ``_crash_basis``."""
+        return _crash_basis(self.generators)
+
+    @cached_property
+    def _symmetric(self) -> bool:
+        """Whether the generator set is closed under swapping any two
+        adjacent coordinates, hence under every permutation of them."""
+        gens = self._generator_set
+        return all(g[:i] + (g[i + 1], g[i]) + g[i + 2 :] in gens for g in gens for i in range(self.n - 1))
 
     @cached_property
     def support(self) -> tuple[int, ...] | None:
@@ -226,57 +227,15 @@ def contains(p: VPolytope, point: Sequence[numbers.Rational]) -> bool:
 
 
 def _convex_feasible(p: VPolytope, num: tuple[int, ...], den: int) -> bool:
-    """Whether num/den is in the hull of p, with its certificate checked.
-
-    The stored bases of p are tried first: a basis whose weights for
-    (den, num) are nonnegative on its generators and zero on its
-    artificials is a feasible basis for this point too, and its weights
-    are the certificate.  Otherwise the dual simplex starts from the
-    front stored basis, and a feasible answer's basis joins the front of
-    the list.
-    """
+    """Whether num/den is in the hull of p, by the dual simplex from the
+    crash basis of p, with its certificate checked."""
     generators = p.generators
-    bases = p._bases
-    warm = _warm_start(bases, len(generators), num, den)
-    if warm is not None:
-        _check_combination(generators, num, den, *warm)
-        return True
-    feasible, certificate, scale = _dual_restart(generators, num, den, bases)
+    feasible, certificate, scale = _dual_restart(generators, num, den, p._crash)
     if feasible:
         _check_combination(generators, num, den, certificate, scale)
     else:
         _check_separation(generators, num, den, certificate)
     return feasible
-
-
-def _warm_start(
-    bases: list[_Basis],
-    k: int,
-    num: tuple[int, ...],
-    den: int,
-) -> tuple[list[int], int] | None:
-    """The weights ``(lam, d)`` that the first fitting basis of bases
-    gives (den, num), moving that basis to the front; None if none fits.
-
-    Row i of d * B^-1 times (den, num) is d times the weight of the basic
-    column of row i.  The basis fits when every generator weight is >= 0
-    and every artificial weight is 0, for then the generators alone
-    combine to the point.
-    """
-    rhs = (den, *num)
-    for at, (columns, rows, d) in enumerate(bases):
-        lam = [0] * k
-        for j, row in zip(columns, rows):
-            w = sum(map(mul, row, rhs))
-            if w:
-                if w < 0 or j >= k:
-                    break
-                lam[j] = w
-        else:
-            if at:
-                bases.insert(0, bases.pop(at))
-            return lam, d
-    return None
 
 
 def _crash_basis(generators: Sequence[tuple[int, ...]]) -> _Basis:
@@ -321,26 +280,25 @@ def _dual_restart(
     generators: Sequence[tuple[int, ...]],
     num: tuple[int, ...],
     den: int,
-    bases: list[_Basis],
+    start: _Basis,
 ) -> tuple[bool, list[int], int]:
     """Fraction-free dual simplex with Bland's rule on the convex
-    combination system, from the front basis of bases, for a point that
-    basis does not fit.
+    combination system, from the crash basis ``start``.
 
     Returns ``(True, lam, d)`` when the system is feasible, where lam are
     integer weights with ``sum lam == d * den`` and ``sum lam_s * s ==
-    d * num``, and puts the final basis at the front of bases; or
-    ``(False, y, d)``, where y is a Farkas vector over the rows
-    (convexity row first) with ``y . (1, s) <= 0`` for every generator s
-    and ``y . (den, num) > 0``.  The caller checks either.
+    d * num``; or ``(False, y, d)``, where y is a Farkas vector over the
+    rows (convexity row first) with ``y . (1, s) <= 0`` for every
+    generator s and ``y . (den, num) > 0``.  The caller checks either.
 
     The phase-1 objective minimizes the sum of the artificials, the
-    column e_r of row r.  The stored basis B is dual feasible for it
-    whatever the right-hand side (see the module docstring) on the
-    generator columns and its basic artificials, the only artificials
-    that may enter: the others are dropped.  Any weights that put the point in the hull still solve the
-    smaller system with artificial sum 0, so a positive optimum, or a row
-    that proves it infeasible, still puts the point outside.
+    column e_r of row r.  A crash basis B is dual feasible for it
+    whatever the right-hand side (see ``_crash_basis``) on the generator
+    columns and its basic artificials, the only artificials that may
+    enter: the others are dropped.  Any weights that put the point in the
+    hull still solve the smaller system with artificial sum 0, so a
+    positive optimum, or a row that proves it infeasible, still puts the
+    point outside.  A point that B already fits takes no pivot.
 
     Each step the basic variable of smallest index among those of
     negative value leaves, and the column of smallest ratio reduced cost
@@ -348,7 +306,7 @@ def _dual_restart(
     index.  The leaving row is negated first, so that the pivot, the next
     d, is positive, and every basic column stays d times a unit vector.
     """
-    columns, rows, d = bases[0]
+    columns, rows, d = start
     k = len(generators)
     # y = d * c_B * B^-1 is the sum of the rows whose basic column is
     # an artificial, the columns of cost 1.
@@ -391,8 +349,6 @@ def _dual_restart(
     for r, j in enumerate(basis):
         if j < k:
             lam[j] = tableau[r][-1]
-    # The artificial columns hold the new d * B^-1.
-    bases.insert(0, (tuple(basis), tuple(tuple(row[k:-1]) for row in tableau), d))
     return True, lam, d
 
 
@@ -524,10 +480,18 @@ def snp_check(f: SparsePolynomial) -> bool:
 
 
 def polytope_subset(p: VPolytope, q: VPolytope) -> bool:
-    """Generator-wise inclusion: every generator of p lies in q."""
+    """Generator-wise inclusion: every generator of p lies in q.
+
+    When the generator set of q is closed under permuting coordinates, q
+    is too, so g lies in q iff its ascending rearrangement does, and one
+    ``contains`` call per rearrangement class decides them all.
+    """
     if p.n != q.n:
         raise ValueError(f"dimensions differ: {p.n} vs {q.n}")
-    return all(contains(q, g) for g in p.generators)
+    points = p.generators
+    if q._symmetric:
+        points = dict.fromkeys(tuple(sorted(g)) for g in points)
+    return all(contains(q, g) for g in points)
 
 
 def polytope_equal(p: VPolytope, q: VPolytope) -> bool:

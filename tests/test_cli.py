@@ -13,7 +13,7 @@ import keypoly
 from keypoly.cli import main
 from keypoly.diagram import skyline
 from keypoly.filling import Filling, enumerate_fillings, optimize, row_index_filling
-from keypoly.moves import MoveChain
+from keypoly.moves import Move, MoveChain
 from keypoly.polynomial import SparsePolynomial
 
 
@@ -178,6 +178,7 @@ class TestOpt:
                 {"diagram": {"n": 1, "columns": [[1]]}, "entries": [{"row": 1, "col": 1, "val": "1"}]},
                 "filling entries must be ints",
             ),
+            ({"diagram": {"n": 2, "columns": [["a", 1], []]}, "entries": []}, "diagram rows must be ints"),
         ],
     )
     def test_malformed_filling_exits_2(self, tmp_path, capsys, data, message):
@@ -318,6 +319,21 @@ class TestVerify:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert json.loads((tmp_path / "report.json").read_text())["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "reader, data, message",
+    [
+        (MoveChain.from_json_dict, {}, "KeyError 'start'"),
+        (MoveChain.from_json_dict, {"start": [1, 2], "moves": [5]}, "TypeError"),
+        (Move.from_json_dict, {"kind": "T", "i": 1}, "KeyError 'j'"),
+        (SparsePolynomial.from_json_dict, {"n": 2}, "KeyError 'terms'"),
+        (SparsePolynomial.from_json_dict, {"n": 2, "terms": [{"exp": [1, 0]}]}, "KeyError 'coeff'"),
+    ],
+)
+def test_json_readers_refuse_malformed_data(reader, data, message):
+    with pytest.raises(ValueError, match=message):
+        reader(data)
 
 
 def test_src_has_no_assert_statements():

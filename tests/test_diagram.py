@@ -40,6 +40,13 @@ class TestDiagram:
         with pytest.raises(ValueError):
             Diagram.make(2, [[3], []])
 
+    @pytest.mark.parametrize("columns", [[[1.0], [2]], [[True], [2]]])
+    def test_rejects_non_int_rows(self, columns):
+        with pytest.raises(ValueError, match="rows must be ints"):
+            Diagram.make(2, columns)
+        with pytest.raises(ValueError, match="rows must be ints"):
+            Diagram(2, tuple(map(tuple, columns)))
+
     def test_rejects_wrong_column_count(self):
         with pytest.raises(ValueError):
             Diagram.make(2, [[1]])

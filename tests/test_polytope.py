@@ -6,10 +6,10 @@ set, checked with exact cross products.  In any dimension, ``contains``
 is compared with ``reference_feasible``, a phase-1 simplex over
 ``fractions.Fraction`` that shares no code with the integer solver.
 Higher-dimensional answers are also cross-checked against the move
-closure, which is computed by BFS and never touches the LP.  Answers
-from a hull's stored bases (the warm start) are compared with those of
-a fresh hull of the same generators, which has only its crash basis, in
-the rado sweep and on random hulls asked in both orders.
+closure, which is computed by BFS and never touches the LP.  Inclusion
+in a hull whose generator set is closed under permuting coordinates asks
+one point per orbit; its answers are compared with the scan of every
+generator by the reference, in the rado sweep and on random orbit hulls.
 
 The LP scan stays the oracle for the certified H-representation path of
 ``lattice_points``: ``lp_lattice_points`` forces the fallback, and the
@@ -369,7 +369,7 @@ class TestReferenceSimplex:
         monkeypatch.setattr(polytope, "contains", record)
         assert verify.suite_theorem11(3, 3).passed
         assert verify.suite_rado(3, 3).passed
-        assert len(instances) == 1898
+        assert len(instances) == 861
         for p, point in dict.fromkeys(instances):
             assert contains(p, point) == reference_feasible(p.generators, point), (p, point)
 
@@ -398,7 +398,7 @@ _TAMPER_SCRIPT = textwrap.dedent(
         return False
 
     square = ((0, 0), (2, 0), (0, 2))
-    feasible, lam, scale = _dual_restart(square, (1, 1), 2, VPolytope(2, square)._bases)
+    feasible, lam, scale = _dual_restart(square, (1, 1), 2, VPolytope(2, square)._crash)
     if not feasible or rejected(_check_combination, square, (1, 1), 2, lam, scale):
         raise SystemExit("honest hull certificate was not accepted")
     for i in range(len(lam)):
@@ -407,7 +407,7 @@ _TAMPER_SCRIPT = textwrap.dedent(
             bad[i] += delta
             if not rejected(_check_combination, square, (1, 1), 2, bad, scale):
                 raise SystemExit(f"tampered weights {bad} were accepted")
-    feasible, y, _ = _dual_restart(square, (2, 2), 1, VPolytope(2, square)._bases)
+    feasible, y, _ = _dual_restart(square, (2, 2), 1, VPolytope(2, square)._crash)
     if feasible or rejected(_check_separation, square, (2, 2), 1, y):
         raise SystemExit("honest separation certificate was not accepted")
     for i in range(len(y)):
@@ -439,57 +439,59 @@ _REJECT_SCRIPT = textwrap.dedent(
 )
 
 
-# The same under ``python -O`` for the stored bases of the warm start: a
-# basis answers a point it fits without a dual-simplex solve; a corrupted
-# one is caught by the check of the weights it gives; points that no
-# stored basis fits are answered by the dual simplex.
-_WARM_SCRIPT = textwrap.dedent(
+# The same under ``python -O`` for the crash basis: it answers a point it
+# fits with no pivot, and a corrupted one is caught by the check of the
+# weights it gives.  Once its cached properties are built, a hull is left
+# as it was by every call, so asking again takes the same pivots.
+_CRASH_SCRIPT = textwrap.dedent(
     """
     from fractions import Fraction
     from keypoly import polytope
     from keypoly.polytope import CertificateError, VPolytope, contains
 
-    restarts = []
-    real = polytope._dual_restart
+    pivots = []
+    real = polytope._pivot
 
     def counted(*args):
-        restarts.append(args[1:3])
+        pivots.append(args[2:4])
         return real(*args)
 
-    polytope._dual_restart = counted
+    polytope._pivot = counted
     half, third = (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 3))
     triangle = VPolytope.from_points(2, [(0, 0), (2, 0), (0, 2)])
-    if not contains(triangle, half) or not contains(triangle, third) or restarts:
-        raise SystemExit("the crash basis did not answer points it fits")
-    if len(triangle._bases) != 1:
-        raise SystemExit(f"a warm answer stored a basis: {triangle._bases}")
-    columns, rows, d = triangle._bases[0]
+    square = VPolytope.from_points(2, [(0, 0), (2, 0), (0, 2), (2, 2)])
+    asked = [
+        (triangle, half),
+        (triangle, third),
+        (triangle, (Fraction(3, 2), Fraction(3, 2))),
+        (square, (Fraction(1, 2), Fraction(1, 4))),
+        (square, (Fraction(3, 2), Fraction(7, 4))),
+        (square, (Fraction(1, 4), Fraction(1, 4))),
+    ]
+    crash = {p: p._crash for p, _ in asked}
+
+    def answer_all():
+        answers = []
+        for p, point in asked:
+            before = len(pivots)
+            answers.append((contains(p, point), len(pivots) - before))
+        return answers
+
+    answers = answer_all()
+    state = {p: dict(vars(p)) for p, _ in asked}
+    if answer_all() != answers or any(vars(p) != state[p] for p, _ in asked):
+        raise SystemExit("an answer changed its hull")
+
+    columns, rows, d = crash[triangle]
     bad = [list(row) for row in rows]
     bad[0][1] = -bad[0][1]
-    triangle._bases[0] = (columns, tuple(map(tuple, bad)), d)
+    vars(triangle)["_crash"] = (columns, tuple(map(tuple, bad)), d)
     try:
         contains(triangle, third)
     except CertificateError:
         pass
     else:
-        raise SystemExit("a corrupted stored basis was trusted")
-    if restarts:
-        raise SystemExit("the corrupted basis did not answer the point")
-
-    square = VPolytope.from_points(2, [(0, 0), (2, 0), (0, 2), (2, 2)])
-    fresh = VPolytope.from_points(2, triangle.generators)
-    asked = [
-        (square, (Fraction(1, 2), Fraction(1, 4))),
-        (square, (Fraction(3, 2), Fraction(7, 4))),
-        (square, (Fraction(1, 4), Fraction(1, 4))),
-        (fresh, half),
-        (fresh, (Fraction(3, 2), Fraction(3, 2))),
-    ]
-    answers = []
-    for p, point in asked:
-        before = len(restarts)
-        answer = contains(p, point)
-        answers.append((answer, len(restarts) - before, len(p._bases)))
+        raise SystemExit("a corrupted crash basis was trusted")
     print("optimized" if not __debug__ else "debug", answers)
     """
 )
@@ -558,17 +560,17 @@ class TestCertificates:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.startswith("optimized [(0, 1, 2), (1, 1, 1)"), proc.stdout
 
-    def test_stored_bases_checked_without_asserts(self):
-        proc = _run_optimized(_WARM_SCRIPT)
+    def test_crash_basis_checked_without_asserts(self):
+        proc = _run_optimized(_CRASH_SCRIPT)
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        # (answer, dual-simplex solves, stored bases): the square's crash
-        # basis, on (0, 0), (0, 2) and (2, 0), fits its first point; its
-        # second needs (2, 2), so the dual simplex runs and stores a second
-        # basis; its third fits the crash basis again.  The fresh
-        # triangle's crash basis fits (1/2, 1/2), and (3/2, 3/2) is
-        # refused by the dual simplex, which stores nothing.
+        # (answer, pivots): the triangle's crash basis, on all three
+        # generators, fits (1/2, 1/2) and (1/3, 1/3), and refuses
+        # (3/2, 3/2) with no pivot either: the weight of (0, 0) is
+        # negative and its row has no negative entry.  The square's crash
+        # basis, on (0, 0), (0, 2) and (2, 0), fits its first and third
+        # points; its second needs (2, 2), one pivot away.
         assert proc.stdout.startswith(
-            "optimized [(True, 0, 1), (True, 1, 2), (True, 0, 2), (True, 0, 1), (False, 1, 1)]"
+            "optimized [(True, 0), (True, 0), (False, 0), (True, 0), (True, 1), (True, 0)]"
         ), proc.stdout
 
     def test_restart_certificates_checked_without_asserts(self):
@@ -728,12 +730,12 @@ class TestSupport:
         def refuse(*args):
             raise AssertionError("the LP ran on a certified hull")
 
-        for name in ("contains", "_crash_basis", "_warm_start", "_dual_restart"):
+        for name in ("contains", "_crash_basis", "_dual_restart"):
             monkeypatch.setattr(polytope, name, refuse)
         assert lattice_points(p) == {(3, 2, 1), (3, 1, 2), (2, 3, 1), (2, 2, 2), (1, 3, 2)}
         assert polytope_equal(p, q)
         assert not polytope_equal(p, newton_polytope(key_polynomial((2, 3, 1))))
-        assert "_bases" not in vars(p) and "_bases" not in vars(q)
+        assert "_crash" not in vars(p) and "_crash" not in vars(q)
 
     @_RANDOM
     @given(simplices())
@@ -804,73 +806,75 @@ def _assert_inverts_its_columns(p, basis):
         assert [sum(map(mul, row, column)) for row in rows] == [d * (r == i) for r in range(m)], (basis, j)
 
 
-class TestWarmStart:
-    def test_rado_answers_match_a_cold_hull_and_the_reference(self, monkeypatch):
-        """Every contains call of the rado sweep at n = 3 gets the same
-        answer from its long-lived hull, from a fresh hull of the same
-        generators and from the Fraction reference; the bases that the
-        long-lived hulls store save dual-simplex solves that the fresh
-        hulls, each with only its crash basis, make."""
+@st.composite
+def orbit_hulls(draw):
+    """A hull p of one to four random points, their coordinates left
+    unsorted, and a hull q whose generators are the orbits, under
+    permuting coordinates, of one to three random points, sometimes less
+    one generator."""
+    n = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(0, 3)] * n)
+    seeds = draw(st.lists(point, min_size=1, max_size=3))
+    generators = sorted({g for s in seeds for g in permutations(s)})
+    if len(generators) > 1 and draw(st.booleans()):
+        del generators[draw(st.integers(0, len(generators) - 1))]
+    return VPolytope(n, tuple(draw(st.lists(point, min_size=1, max_size=4)))), VPolytope(n, tuple(generators))
+
+
+class TestOrbitReduction:
+    def test_rado_answers_match_the_generator_scan_and_the_reference(self, monkeypatch):
+        """Every polytope_subset call of the rado sweep at n = 3 asks
+        ``contains`` once, since a permutohedron's generators form one
+        orbit, and answers as the scan of all of p's generators does,
+        both by ``contains`` and by the Fraction reference."""
         asked = []
-        counts = {"_convex_feasible": 0, "_crash_basis": 0, "_dual_restart": 0}
-        for name in counts:
-            real = getattr(polytope, name)
-
-            def counted(*args, name=name, real=real):
-                counts[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(polytope, name, counted)
         real_contains = polytope.contains
+        monkeypatch.setattr(polytope, "contains", lambda q, g: asked.append(g) or real_contains(q, g))
+        answers = []
+        real_subset = verify.polytope_subset
 
-        def record(p, point):
-            answer = real_contains(p, point)
-            asked.append((p, point, answer))
+        def record(p, q):
+            before = len(asked)
+            answer = real_subset(p, q)
+            answers.append((p, q, answer, len(asked) - before))
             return answer
 
-        with monkeypatch.context() as m:
-            m.setattr(polytope, "contains", record)
-            assert verify.suite_rado(3, 3).passed
-        # _convex_feasible runs once per call past the cheap rejections and
-        # the generator shortcut, _crash_basis once per hull that gets that
-        # far, and _dual_restart once per call that no stored basis fits.
-        long_lived = dict(counts)
-        assert 0 < counts["_crash_basis"] < counts["_convex_feasible"] <= len(asked)
-        assert 0 < counts["_dual_restart"] < counts["_convex_feasible"]
-        for p, point, answer in asked:
-            assert answer == contains(VPolytope(p.n, p.generators), point), (p, point)
-            assert answer == reference_feasible(p.generators, point), (p, point)
-        fresh = {name: counts[name] - long_lived[name] for name in counts}
-        assert fresh["_crash_basis"] == fresh["_convex_feasible"] == long_lived["_convex_feasible"]
-        assert long_lived["_dual_restart"] < fresh["_dual_restart"]
-
-    def test_stored_bases_invert_their_columns(self):
-        """d * B^-1 times each basic column of B is d times a unit vector:
-        (1, g) for a generator g, and e_r for the artificial of row r."""
-        p = VPolytope.from_points(4, set(permutations((3, 2, 1, 0))))
-        for q in [(3, 2, 1, 0), (2, 2, 1, 1), (3, 1, 1, 1)]:
-            for lam in set(permutations(q)):
-                contains(p, lam)
-        assert len(p._bases) > 1
-        for basis in p._bases:
-            _assert_inverts_its_columns(p, basis)
+        monkeypatch.setattr(verify, "polytope_subset", record)
+        assert verify.suite_rado(3, 3).passed
+        assert len(answers) == 609
+        for p, q, answer, calls in answers:
+            assert q._symmetric and calls == 1, (p, q)
+            assert answer == all(real_contains(q, g) for g in p.generators), (p, q)
+            assert answer == all(reference_feasible(q.generators, g) for g in p.generators), (p, q)
 
     @_RANDOM
-    @given(hulls_with_points())
-    def test_answers_do_not_depend_on_the_order_asked(self, case):
-        n, generators, points = case
-        forward, backward = VPolytope(n, generators), VPolytope(n, generators)
-        answers = [contains(forward, q) for q in points]
-        assert answers[::-1] == [contains(backward, q) for q in reversed(points)]
-        assert answers == [reference_feasible(generators, q) for q in points]
+    @given(orbit_hulls())
+    def test_orbit_hulls_match_the_reference(self, case):
+        p, q = case
+        gens = set(q.generators)
+        closed = all(tuple(g[i] for i in order) in gens for g in gens for order in permutations(range(q.n)))
+        assert q._symmetric == closed
+        assert polytope_subset(p, q) == all(reference_feasible(q.generators, g) for g in p.generators)
+
+    def test_hull_missing_one_permuted_vertex_is_not_reduced(self, monkeypatch):
+        """The permutohedron of (2, 1, 0) without the vertex (2, 1, 0) is
+        not symmetric, and does not contain that vertex, though it does
+        contain its ascending rearrangement (0, 1, 2): reducing to it
+        would answer wrongly."""
+        q = VPolytope.from_points(3, [g for g in permutations((2, 1, 0)) if g != (2, 1, 0)])
+        p = VPolytope.from_points(3, [(2, 1, 0)])
+        assert not q._symmetric
+        assert not polytope_subset(p, q)
+        monkeypatch.setitem(vars(q), "_symmetric", True)
+        assert polytope_subset(p, q)
 
 
 @st.composite
 def seeded_hulls(draw):
-    """A random hull, a convex combination of its generators to seed its
-    stored bases with, and rational points to ask afterwards: random
-    ones and affine combinations of the generators, which lie on the
-    hull's affine span, inside the hull or not."""
+    """A random hull, a convex combination of its generators to ask
+    first, and rational points to ask afterwards: random ones and affine
+    combinations of the generators, which lie on the hull's affine span,
+    inside the hull or not."""
     n = draw(st.integers(1, 4))
     generators = draw(st.lists(st.tuples(*[st.integers(-2, 3)] * n), min_size=2, max_size=7))
     k = len(generators)
@@ -889,6 +893,15 @@ def seeded_hulls(draw):
 
 
 class TestDualRestart:
+    @_RANDOM
+    @given(hulls_with_points())
+    def test_answers_do_not_depend_on_the_order_asked(self, case):
+        n, generators, points = case
+        forward, backward = VPolytope(n, generators), VPolytope(n, generators)
+        answers = [contains(forward, q) for q in points]
+        assert answers[::-1] == [contains(backward, q) for q in reversed(points)]
+        assert answers == [reference_feasible(generators, q) for q in points]
+
     @_RANDOM
     @given(seeded_hulls())
     def test_answers_after_one_feasible_answer_match_the_reference(self, case):
@@ -912,7 +925,7 @@ class TestDualRestart:
         point = tuple(Fraction(sum(a * g[i] for a, g in zip(w, p.generators)), sum(w)) for i in range(n))
         assert contains(p, point) == reference_feasible(p.generators, point), point
         crash = polytope._crash_basis(p.generators)
-        assert p._bases[-1] == crash
+        assert p._crash == crash
         _assert_inverts_its_columns(p, crash)
         for j, row in zip(*crash[:2]):
             if j >= k:
@@ -939,10 +952,9 @@ class TestDualRestart:
         with _exits_taken() as exits:
             assert [contains(p, q) for q in asked] == [True, False, False]
             assert exits == [1, 2, 3]
-            # Exit 1 put its basis in front of the crash basis, and it
-            # answers its point warm.
-            assert len(p._bases) == 2
-            assert contains(p, asked[0]) and exits == [1, 2, 3]
+            # The hull keeps no basis from exit 1, so asking its point
+            # again runs the dual simplex from the crash basis again.
+            assert contains(p, asked[0]) and exits == [1, 2, 3, 1]
 
 
 @contextlib.contextmanager
