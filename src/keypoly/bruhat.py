@@ -1,10 +1,10 @@
 """Bruhat order on permutations and interval polytopes.
 
 Permutations of [n] are stored in one-line notation as tuples.  The order
-test uses the rank-matrix criterion: u <= v iff for every prefix length i
-and threshold j, the prefix of u holds at most as many values >= j as the
-prefix of v does.  Intervals are computed by filtering all of S_n, which
-is fine at the small n this package targets (n <= 6 or so).
+test uses the tableau criterion (Björner–Brenti, Thm 2.6.3): u <= v iff
+for every prefix length i, sorted(u[:i]) <= sorted(v[:i]) entrywise.
+Intervals are computed by filtering all of S_n, which is fine at the
+small n this package targets (n <= 6 or so).
 """
 
 from __future__ import annotations
@@ -43,19 +43,12 @@ def longest_element(n: int) -> tuple[int, ...]:
 
 
 def bruhat_leq(u: Sequence[int], v: Sequence[int]) -> bool:
-    """Rank-matrix comparison of two permutations of the same [n]."""
+    """Tableau comparison of two permutations of the same [n]."""
     a = check_permutation(u)
     b = check_permutation(v)
     if len(a) != len(b):
         raise ValueError(f"sizes differ: {len(a)} vs {len(b)}")
-    n = len(a)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            cu = sum(1 for k in range(i) if a[k] >= j)
-            cv = sum(1 for k in range(i) if b[k] >= j)
-            if cu > cv:
-                return False
-    return True
+    return all(x <= y for i in range(1, len(a)) for x, y in zip(sorted(a[:i]), sorted(b[:i])))
 
 
 def bruhat_interval(u: Sequence[int], v: Sequence[int]) -> set[tuple[int, ...]]:

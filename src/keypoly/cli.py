@@ -78,7 +78,7 @@ def _verify(args):
         raise ValueError("--n must be >= 1 and --parts >= 0")
     # A repeated --suite runs once, since the summary is keyed by suite name.
     names = SUITE_NAMES if not args.suite or "all" in args.suite else tuple(dict.fromkeys(args.suite))
-    report = run_verification(args.n_max, args.part_max, names, slow=args.slow)
+    report = run_verification(args.n_max, args.part_max, names)
     with open(args.out, "w") as handle:
         json.dump(report.to_json_dict(), handle, indent=2)
         handle.write("\n")
@@ -96,9 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="keypoly",
         description="Key polynomials, skyline fillings, move order, and polytope checks.",
     )
-    style = parser.add_mutually_exclusive_group()
-    style.add_argument("--json", action="store_true", help="compact JSON output (default)")
-    style.add_argument("--pretty", action="store_true", help="indented JSON output")
+    parser.add_argument("--pretty", action="store_true", help="indented JSON output (default compact)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, help_text, *compositions):
@@ -132,7 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(SUITE_NAMES) + ["all"],
         help="suite to run (repeatable; default all)",
     )
-    p.add_argument("--slow", action="store_true", help="extend the bruhat sweep to S_5")
     p.add_argument("--force", action="store_true", help="allow --n or --parts beyond 5")
     p.add_argument(
         "--out",

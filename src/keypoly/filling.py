@@ -70,12 +70,9 @@ class Filling:
                     raise ValueError(f"entry {value} in row {row} breaks the flag bound")
 
     def entry(self, row: int, col: int) -> int:
-        rows = self.diagram.columns[col - 1]
-        try:
-            k = rows.index(row)
-        except ValueError:
-            raise KeyError(f"no box at (row {row}, col {col})") from None
-        return self.columns[col - 1][k]
+        if not self.diagram.has_box(row, col):
+            raise KeyError(f"no box at (row {row}, col {col})")
+        return self.columns[col - 1][self.diagram.columns[col - 1].index(row)]
 
     def entries(self) -> Iterator[tuple[int, int, int]]:
         """(row, col, value) triples ordered by (col, row)."""
@@ -84,6 +81,8 @@ class Filling:
                 yield (row, j, value)
 
     def column_values(self, col: int) -> set[int]:
+        if not 1 <= col <= self.diagram.n:
+            raise KeyError(f"no column {col}")
         return set(self.columns[col - 1])
 
     def to_json_dict(self) -> dict:

@@ -56,6 +56,8 @@ class Move:
     def __post_init__(self):
         if self.kind not in ("T", "M"):
             raise ValueError(f"move kind must be 'T' or 'M', got {self.kind!r}")
+        if type(self.i) is not int or type(self.j) is not int:
+            raise ValueError(f"move indices must be ints, got ({self.i!r}, {self.j!r})")
         if not 1 <= self.i < self.j:
             raise ValueError(f"move indices must satisfy 1 <= i < j, got ({self.i}, {self.j})")
 
@@ -77,6 +79,10 @@ class MoveChain:
 
     start: tuple[int, ...]
     moves: tuple[Move, ...]
+
+    def __post_init__(self):
+        if any(type(x) is not int for x in self.start):
+            raise ValueError(f"move chain start entries must be ints, got {self.start}")
 
     def replay(self) -> tuple[int, ...]:
         """Apply the moves in order, checking every side condition.

@@ -69,7 +69,7 @@ import numbers
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from operator import add, mul, sub
 
 from .polynomial import SparsePolynomial
@@ -104,6 +104,9 @@ class VPolytope:
     def __post_init__(self):
         if not self.generators:
             raise ValueError("a polytope needs at least one generator")
+        types = set(map(type, chain.from_iterable(self.generators)))
+        if not types <= {int}:
+            raise TypeError(f"generator entries must be ints, got {types - {int}}")
         for g in self.generators:
             if len(g) != self.n:
                 raise ValueError(f"generator {g} has length {len(g)}, expected {self.n}")

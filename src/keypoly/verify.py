@@ -15,6 +15,12 @@ that the underlying theory says coincide:
 ``weight_set``) without building any diagram or filling; ``aa`` compares
 explicitly enumerated fillings.
 
+A run's work depends only on ``(n_max, part_max)``.  The composition
+suites sweep lengths 1..n_max with parts up to part_max, ``bruhat``
+sweeps S_1..S_{n_max}, ``aa`` takes one fixed diagram and 50 seeded
+random ones of size up to min(n_max, 4), and ``rado``'s inclusion checks
+pair the partitions of length n_max and sum at most 10.
+
 A suite fails iff some input exhibits a set inequality; failing outcomes
 record the symmetric difference.  All sweeps are deterministic (fixed
 enumeration orders, fixed RNG seed), so reports are reproducible apart
@@ -59,7 +65,6 @@ class SuiteResult:
 class VerificationReport:
     n_max: int
     part_max: int
-    slow: bool
     passed: bool
     wall_time_s: float
     suites: list[SuiteResult]
@@ -153,12 +158,12 @@ def random_diagram(rng: random.Random, n: int) -> Diagram:
     return Diagram.make(n, cols)
 
 
-def suite_aa(n_max: int, random_count: int = 50, seed: int = _AA_SEED) -> SuiteResult:
-    rng = random.Random(seed)
+def suite_aa(n_max: int) -> SuiteResult:
+    rng = random.Random(_AA_SEED)
     cap = max(1, min(n_max, 4))
-    # A 4x4 diagram that is not left-justified, then random ones.
+    # A 4x4 diagram that is not left-justified, then 50 random ones.
     diagrams = [Diagram.make(4, [[1], [], [1, 2, 3], [2, 3]])]
-    for _ in range(random_count):
+    for _ in range(50):
         diagrams.append(random_diagram(rng, rng.randint(min(2, cap), cap)))
 
     def run():
@@ -170,7 +175,7 @@ def suite_aa(n_max: int, random_count: int = 50, seed: int = _AA_SEED) -> SuiteR
     return _run_suite("aa", "weight sets of all vs column-sorted fillings", run())
 
 
-def suite_rado(n_max: int, part_max: int, pair_sum_cap: int = _PAIR_SUM_CAP) -> SuiteResult:
+def suite_rado(n_max: int, part_max: int) -> SuiteResult:
     def run():
         for alpha in composition_family(n_max, part_max, cap_parts_by_n=False):
             if any(alpha[k] > alpha[k + 1] for k in range(len(alpha) - 1)):
@@ -182,7 +187,7 @@ def suite_rado(n_max: int, part_max: int, pair_sum_cap: int = _PAIR_SUM_CAP) -> 
                 dominated_rearrangements(lam),
             )
         n = n_max
-        for total in range(pair_sum_cap + 1):
+        for total in range(_PAIR_SUM_CAP + 1):
             parts = list(_partitions(total, total, n))
             polytopes = [VPolytope.from_points(n, set(permutations(p))) for p in parts]
             for mu, p_mu in zip(parts, polytopes):
@@ -207,51 +212,45 @@ def suite_rado(n_max: int, part_max: int, pair_sum_cap: int = _PAIR_SUM_CAP) -> 
     )
 
 
-def suite_bruhat(n_max: int, slow: bool = False) -> SuiteResult:
-    top = min(n_max, 5 if slow else 4)
-
+def suite_bruhat(n_max: int) -> SuiteResult:
     def run():
-        for n in range(1, top + 1):
+        for n in range(1, n_max + 1):
             for w in permutations(range(1, n + 1)):
                 ok = verify_qww0(w)
                 yield ok, {"w": list(w), "equal": ok}
 
     return _run_suite(
         "bruhat",
-        f"Newton polytope of a permutation == interval polytope up to {longest_element(top)}",
+        f"Newton polytope of a permutation == interval polytope up to {longest_element(n_max)}",
         run(),
     )
 
 
-# name -> suite(n_max, part_max, slow); the suites are looked up by name
-# at call time, so wrappers installed on this module's attributes apply.
+# name -> suite(n_max, part_max); the suites are looked up by name at
+# call time, so wrappers installed on this module's attributes apply.
 _SUITES = {
-    "kk": lambda n_max, part_max, slow: suite_kk(n_max, part_max),
-    "ccc": lambda n_max, part_max, slow: suite_ccc(n_max, part_max),
-    "theorem11": lambda n_max, part_max, slow: suite_theorem11(n_max, part_max),
-    "aa": lambda n_max, part_max, slow: suite_aa(n_max),
-    "rado": lambda n_max, part_max, slow: suite_rado(n_max, part_max),
-    "bruhat": lambda n_max, part_max, slow: suite_bruhat(n_max, slow=slow),
+    "kk": lambda n_max, part_max: suite_kk(n_max, part_max),
+    "ccc": lambda n_max, part_max: suite_ccc(n_max, part_max),
+    "theorem11": lambda n_max, part_max: suite_theorem11(n_max, part_max),
+    "aa": lambda n_max, part_max: suite_aa(n_max),
+    "rado": lambda n_max, part_max: suite_rado(n_max, part_max),
+    "bruhat": lambda n_max, part_max: suite_bruhat(n_max),
 }
 SUITE_NAMES = tuple(_SUITES)
 
 
 def run_verification(
-    n_max: int,
-    part_max: int,
-    suite_names: tuple[str, ...] = SUITE_NAMES,
-    slow: bool = False,
+    n_max: int, part_max: int, suite_names: tuple[str, ...] = SUITE_NAMES
 ) -> VerificationReport:
     unknown = [name for name in suite_names if name not in _SUITES]
     if unknown:
         raise ValueError(f"unknown suite {unknown[0]!r}; known: {SUITE_NAMES}")
     start = time.perf_counter()
-    results = [_SUITES[name](n_max, part_max, slow) for name in suite_names]
+    results = [_SUITES[name](n_max, part_max) for name in suite_names]
     elapsed = time.perf_counter() - start
     return VerificationReport(
         n_max=n_max,
         part_max=part_max,
-        slow=slow,
         passed=all(r.passed for r in results),
         wall_time_s=elapsed,
         suites=results,

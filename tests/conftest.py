@@ -3,24 +3,6 @@ import random
 import pytest
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--runslow",
-        action="store_true",
-        default=False,
-        help="also run tests marked slow (long exhaustive sweeps)",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--runslow"):
-        return
-    skip = pytest.mark.skip(reason="needs --runslow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One line per acceptance criterion, derived from the test outcomes."""
     rows = []

@@ -101,7 +101,7 @@ def test_criterion_04_closure_exponents_lattice_points():
 
 def test_criterion_05_weight_sets_of_sorted_and_all_fillings():
     # the fixed 4x4 non-skyline diagram plus 50 seeded random diagrams
-    result = suite_aa(4, random_count=50)
+    result = suite_aa(4)
     assert result.checked == 51
     assert result.passed, result.failures
 

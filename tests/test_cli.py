@@ -247,6 +247,15 @@ class TestVerify:
         assert suite["name"] == "bruhat" and suite["passed"]
         assert suite["checked"] == 1 + 2 + 6 + 24
 
+    def test_bruhat_suite_sweeps_up_to_n(self, tmp_path, capsys):
+        # bruhat sweeps S_1..S_n like the other suites sweep lengths 1..n
+        out_path = tmp_path / "r.json"
+        argv = ["verify", "--n", "5", "--parts", "0", "--suite", "bruhat", "--out", str(out_path)]
+        code, _, _ = run(capsys, argv)
+        assert code == 0
+        suite = json.loads(out_path.read_text())["suites"][0]
+        assert suite["passed"] and suite["checked"] == 1 + 2 + 6 + 24 + 120
+
     @pytest.fixture
     def no_sweep(self, monkeypatch):
         """Fail, instead of running for hours, if a guarded sweep starts."""
@@ -280,7 +289,7 @@ class TestVerify:
         code, _, _ = run(capsys, ["verify", "--n", "2", "--parts", "1", "--out", str(path)])
         assert code == 0
         report = json.loads(path.read_text())
-        assert list(report) == ["n_max", "part_max", "slow", "passed", "wall_time_s", "suites"]
+        assert list(report) == ["n_max", "part_max", "passed", "wall_time_s", "suites"]
         for suite in report["suites"]:
             assert list(suite) == [
                 "name",
@@ -329,6 +338,11 @@ class TestVerify:
         (Move.from_json_dict, {"kind": "T", "i": 1}, "KeyError 'j'"),
         (SparsePolynomial.from_json_dict, {"n": 2}, "KeyError 'terms'"),
         (SparsePolynomial.from_json_dict, {"n": 2, "terms": [{"exp": [1, 0]}]}, "KeyError 'coeff'"),
+        (Move.from_json_dict, {"kind": "T", "i": 1.0, "j": 2}, "must be ints"),
+        (Move.from_json_dict, {"kind": "T", "i": "1", "j": 2}, "must be ints"),
+        (Move.from_json_dict, {"kind": "T", "i": True, "j": 2}, "must be ints"),
+        (MoveChain.from_json_dict, {"start": ["a", 2.5], "moves": []}, "must be ints"),
+        (MoveChain.from_json_dict, {"start": [True, 2], "moves": []}, "must be ints"),
     ],
 )
 def test_json_readers_refuse_malformed_data(reader, data, message):
@@ -364,3 +378,7 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv", [["verify", "--slow"], ["--json", "key", "1,2"]])
+    def test_removed_options_exit_2(self, capsys, argv):
+        assert main(argv) == 2

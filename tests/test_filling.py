@@ -105,6 +105,16 @@ class TestFillingType:
         with pytest.raises(KeyError):
             f.entry(1, 2)
 
+    def test_columns_outside_1_to_n_are_refused(self):
+        # column 0 and negative columns must not wrap round to the last one
+        f = row_index_filling(skyline((0, 2)))
+        assert f.entry(2, 2) == 2 and f.column_values(2) == {2}
+        for col in (0, -1, 3):
+            with pytest.raises(KeyError):
+                f.entry(2, col)
+            with pytest.raises(KeyError):
+                f.column_values(col)
+
     def test_json_round_trip_sorted_by_col_row(self):
         f = GRID5_SCRAMBLED
         data = f.to_json_dict()

@@ -189,6 +189,11 @@ class TestVPolytope:
         with pytest.raises(ValueError):
             VPolytope.from_points(2, [(1, 0, 0)])
 
+    def test_generator_entries_must_be_ints(self):
+        for bad in ((0.5, 1.5), (True, 0), (Fraction(1), 0)):
+            with pytest.raises(TypeError):
+                VPolytope.from_points(2, [bad, (2, 0)])
+
 
 class TestContains:
     def test_generators_are_inside(self):
