@@ -10,7 +10,9 @@ small n this package targets (n <= 6 or so).
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cache
 from itertools import permutations
+from operator import le
 
 from .polynomial import exponent_vectors, key_polynomial
 from .polytope import VPolytope, polytope_equal
@@ -51,17 +53,22 @@ def bruhat_leq(u: Sequence[int], v: Sequence[int]) -> bool:
     return all(x <= y for i in range(1, len(a)) for x, y in zip(sorted(a[:i]), sorted(b[:i])))
 
 
+@cache
+def _tableaux(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each w in S_n mapped to sorted(w[:1]), ..., sorted(w[:n-1]) concatenated:
+    by the tableau criterion, u <= v iff their images compare entrywise."""
+    return {w: tuple(x for i in range(1, n) for x in sorted(w[:i])) for w in permutations(range(1, n + 1))}
+
+
 def bruhat_interval(u: Sequence[int], v: Sequence[int]) -> set[tuple[int, ...]]:
     """All w with u <= w <= v, by filtering S_n."""
     a = check_permutation(u)
     b = check_permutation(v)
     if not bruhat_leq(a, b):
         raise ValueError(f"{a} is not below {b} in Bruhat order")
-    return {
-        w
-        for w in permutations(range(1, len(a) + 1))
-        if bruhat_leq(a, w) and bruhat_leq(w, b)
-    }
+    tableaux = _tableaux(len(a))
+    low, high = tableaux[a], tableaux[b]
+    return {w for w, mid in tableaux.items() if all(map(le, low, mid)) and all(map(le, mid, high))}
 
 
 def interval_polytope(u: Sequence[int], v: Sequence[int]) -> VPolytope:

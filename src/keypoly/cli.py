@@ -78,8 +78,9 @@ def _verify(args):
         raise ValueError("--n must be >= 1 and --parts >= 0")
     # A repeated --suite runs once, since the summary is keyed by suite name.
     names = SUITE_NAMES if not args.suite or "all" in args.suite else tuple(dict.fromkeys(args.suite))
-    report = run_verification(args.n_max, args.part_max, names)
+    # Opening the report first fails on a bad --out before the sweep runs.
     with open(args.out, "w") as handle:
+        report = run_verification(args.n_max, args.part_max, names)
         json.dump(report.to_json_dict(), handle, indent=2)
         handle.write("\n")
     summary = {

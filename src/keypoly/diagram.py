@@ -87,8 +87,8 @@ def skyline(alpha: Sequence[int]) -> Diagram:
     """
     a = tuple(alpha)
     n = len(a)
-    if any(p < 0 for p in a):
-        raise ValueError(f"composition parts must be nonnegative, got {a}")
+    if any(isinstance(p, bool) or not isinstance(p, int) or p < 0 for p in a):
+        raise ValueError(f"composition parts must be nonnegative ints, got {a}")
     if any(p > n for p in a):
         raise ValueError(f"part exceeding the grid size {n}: {a}")
     cols = tuple(tuple(i for i in range(1, n + 1) if a[i - 1] >= j) for j in range(1, n + 1))

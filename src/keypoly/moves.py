@@ -297,8 +297,8 @@ def _partitions(total: int, max_part: int, slots: int):
 
 def _check_partition(p: Sequence[int], name: str) -> tuple[int, ...]:
     t = tuple(p)
-    if any(x < 0 for x in t):
-        raise ValueError(f"{name} has a negative part: {t}")
+    if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in t):
+        raise ValueError(f"{name} parts must be nonnegative ints: {t}")
     if any(t[k] < t[k + 1] for k in range(len(t) - 1)):
         raise ValueError(f"{name} is not weakly decreasing: {t}")
     return t

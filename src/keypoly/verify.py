@@ -21,10 +21,11 @@ sweeps S_1..S_{n_max}, ``aa`` takes one fixed diagram and 50 seeded
 random ones of size up to min(n_max, 4), and ``rado``'s inclusion checks
 pair the partitions of length n_max and sum at most 10.
 
-A suite fails iff some input exhibits a set inequality; failing outcomes
-record the symmetric difference.  All sweeps are deterministic (fixed
-enumeration orders, fixed RNG seed), so reports are reproducible apart
-from ``wall_time_s``.
+A suite fails iff some input exhibits a set inequality.  It counts its
+checks but records only the failing inputs, each with the symmetric
+difference.  All sweeps are deterministic (fixed enumeration orders,
+fixed RNG seed), so reports are reproducible apart from ``wall_time_s``
+and the passing inputs follow from ``(n_max, part_max)``.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class SuiteResult:
     checked: int
     wall_time_s: float
     failures: list[dict] = field(default_factory=list)
-    outcomes: list[dict] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return dict(vars(self))
@@ -83,33 +83,26 @@ def composition_family(n_max: int, part_max: int, cap_parts_by_n: bool):
         yield from product(range(cap + 1), repeat=n)
 
 
-def _set_outcome(label: dict, lhs: set, rhs: set) -> tuple[bool, dict]:
-    equal = lhs == rhs
-    outcome = dict(label)
-    outcome["equal"] = equal
-    if not equal:
-        outcome["only_lhs"] = sorted(lhs - rhs)
-        outcome["only_rhs"] = sorted(rhs - lhs)
-    return equal, outcome
+def _set_failure(label: dict, lhs: set, rhs: set) -> dict | None:
+    """None if the sets are equal, else label plus the symmetric difference."""
+    if lhs == rhs:
+        return None
+    return {**label, "equal": False, "only_lhs": sorted(lhs - rhs), "only_rhs": sorted(rhs - lhs)}
 
 
-def _run_suite(name, description, iterator) -> SuiteResult:
+def _run_suite(name, description, checks) -> SuiteResult:
+    """``checks`` yields None for each passing check and a record for each failing one."""
     start = time.perf_counter()
-    outcomes = []
-    failures = []
-    for equal, outcome in iterator:
-        outcomes.append(outcome)
-        if not equal:
-            failures.append(outcome)
+    results = list(checks)
+    failures = [r for r in results if r is not None]
     elapsed = time.perf_counter() - start
     return SuiteResult(
         name=name,
         description=description,
         passed=not failures,
-        checked=len(outcomes),
+        checked=len(results),
         wall_time_s=elapsed,
         failures=failures,
-        outcomes=outcomes,
     )
 
 
@@ -121,7 +114,7 @@ def _skyline_suite(name: str, description: str, n_max: int, part_max: int, side)
         for alpha in composition_family(n_max, part_max, cap_parts_by_n=True):
             lhs = side(skyline(alpha))
             exps = exponent_vectors(key_polynomial(alpha))
-            yield _set_outcome({"alpha": list(alpha)}, lhs, exps)
+            yield _set_failure({"alpha": list(alpha)}, lhs, exps)
 
     return _run_suite(name, description, run())
 
@@ -142,9 +135,14 @@ def suite_theorem11(n_max: int, part_max: int) -> SuiteResult:
             reach = closure(alpha)
             exps = exponent_vectors(key_polynomial(alpha))
             points = lattice_points(VPolytope.from_points(len(alpha), exps))
-            eq1, out1 = _set_outcome({"alpha": list(alpha), "compared": "closure/exponents"}, reach, exps)
-            eq2, out2 = _set_outcome({"alpha": list(alpha), "compared": "lattice/exponents"}, points, exps)
-            yield eq1 and eq2, {**out1, "lattice_equal": eq2, **({} if eq2 else {"lattice_diff": out2})}
+            if reach == exps == points:
+                yield None
+                continue
+            # "equal" and "only_*" describe the closure side; a lattice failure nests.
+            label = {"alpha": list(alpha), "compared": "closure/exponents"}
+            lattice = _set_failure({**label, "compared": "lattice/exponents"}, points, exps)
+            record = _set_failure(label, reach, exps) or {**label, "equal": True}
+            yield {**record, "lattice_equal": lattice is None, **({"lattice_diff": lattice} if lattice else {})}
 
     return _run_suite(
         "theorem11", "move closure == key exponents == Newton lattice points", run()
@@ -170,7 +168,7 @@ def suite_aa(n_max: int) -> SuiteResult:
         for d in diagrams:
             all_weights = {weight(f) for f in enumerate_fillings(d)}
             sorted_weights = {weight(f) for f in enumerate_sorted_fillings(d)}
-            yield _set_outcome({"diagram": d.to_json_dict()}, all_weights, sorted_weights)
+            yield _set_failure({"diagram": d.to_json_dict()}, all_weights, sorted_weights)
 
     return _run_suite("aa", "weight sets of all vs column-sorted fillings", run())
 
@@ -181,7 +179,7 @@ def suite_rado(n_max: int, part_max: int) -> SuiteResult:
             if any(alpha[k] > alpha[k + 1] for k in range(len(alpha) - 1)):
                 continue
             lam = tuple(sorted(alpha, reverse=True))
-            yield _set_outcome(
+            yield _set_failure(
                 {"kind": "closure", "alpha": list(alpha)},
                 closure(alpha),
                 dominated_rearrangements(lam),
@@ -194,14 +192,13 @@ def suite_rado(n_max: int, part_max: int) -> SuiteResult:
                 for lam, p_lam in zip(parts, polytopes):
                     subset = polytope_subset(p_mu, p_lam)
                     dominated = dominance_leq(mu, lam)
-                    agree = subset == dominated
-                    yield agree, {
+                    yield None if subset == dominated else {
                         "kind": "inclusion",
                         "mu": list(mu),
                         "lambda": list(lam),
                         "subset": subset,
                         "dominance": dominated,
-                        "equal": agree,
+                        "equal": False,
                     }
 
     return _run_suite(
@@ -216,8 +213,7 @@ def suite_bruhat(n_max: int) -> SuiteResult:
     def run():
         for n in range(1, n_max + 1):
             for w in permutations(range(1, n + 1)):
-                ok = verify_qww0(w)
-                yield ok, {"w": list(w), "equal": ok}
+                yield None if verify_qww0(w) else {"w": list(w), "equal": False}
 
     return _run_suite(
         "bruhat",

@@ -86,6 +86,15 @@ class TestInterval:
         with pytest.raises(ValueError):
             bruhat_interval((3, 1, 2), (1, 3, 2))
 
+    def test_matches_a_filter_by_bruhat_leq(self):
+        for n in range(1, 5):
+            perms = list(permutations(range(1, n + 1)))
+            for u in perms:
+                for v in perms:
+                    if bruhat_leq(u, v):
+                        expected = {w for w in perms if bruhat_leq(u, w) and bruhat_leq(w, v)}
+                        assert bruhat_interval(u, v) == expected, (u, v)
+
 
 class TestIntervalPolytope:
     def test_point(self):

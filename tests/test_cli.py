@@ -277,6 +277,13 @@ class TestVerify:
         assert "--parts beyond 5 needs --force" in err
         assert out == "" and not out_path.exists()
 
+    def test_unwritable_out_fails_before_the_sweep(self, tmp_path, capsys, no_sweep):
+        out_path = tmp_path / "missing" / "r.json"
+        code, out, err = run(capsys, ["verify", "--n", "6", "--force", "--out", str(out_path)])
+        assert code == 2
+        assert err.startswith("error: ") and "r.json" in err
+        assert out == "" and not out_path.parent.exists()
+
     def test_parts_beyond_5_with_force(self, tmp_path, capsys):
         out_path = tmp_path / "r.json"
         argv = ["verify", "--n", "1", "--parts", "6", "--force", "--suite", "theorem11", "--out", str(out_path)]
@@ -298,7 +305,6 @@ class TestVerify:
                 "checked",
                 "wall_time_s",
                 "failures",
-                "outcomes",
             ]
 
     def test_reports_are_deterministic(self, tmp_path, capsys):

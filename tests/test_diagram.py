@@ -73,6 +73,11 @@ class TestSkyline:
         with pytest.raises(ValueError):
             skyline((4, 0, 0))
 
+    @pytest.mark.parametrize("alpha", [(0.5, 1), (1.0, 0), (True, 0), (0, False), ("1", 0), (-1, 0)])
+    def test_rejects_parts_that_are_not_nonnegative_ints(self, alpha):
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            skyline(alpha)
+
 
 class TestSubsetLeq:
     def test_examples(self):

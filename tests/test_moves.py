@@ -251,6 +251,19 @@ class TestDominance:
         with pytest.raises(ValueError):
             dominance_leq((1, 2), (2, 1))
 
+    @pytest.mark.parametrize(
+        "mu, lam",
+        [((1.5, 0.5), (2, 0)), ((2, 0), (2.0, 0)), ((True, True), (2, 0)), ((2, 0), (1, True)), ((-1, -1), (0, -2))],
+    )
+    def test_rejects_parts_that_are_not_nonnegative_ints(self, mu, lam):
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            dominance_leq(mu, lam)
+
+    @pytest.mark.parametrize("lam", [(2.0, 0), (1.5, 0.5), (True, False), (1, -1)])
+    def test_rearrangements_reject_parts_that_are_not_nonnegative_ints(self, lam):
+        with pytest.raises(ValueError, match="nonnegative ints"):
+            dominated_rearrangements(lam)
+
     def test_rearrangement_examples(self):
         assert dominated_rearrangements((1, 0)) == {(1, 0), (0, 1)}
         assert dominated_rearrangements((2, 0, 0)) == {
