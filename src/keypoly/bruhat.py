@@ -50,14 +50,19 @@ def bruhat_leq(u: Sequence[int], v: Sequence[int]) -> bool:
     b = check_permutation(v)
     if len(a) != len(b):
         raise ValueError(f"sizes differ: {len(a)} vs {len(b)}")
-    return all(x <= y for i in range(1, len(a)) for x, y in zip(sorted(a[:i]), sorted(b[:i])))
+    return all(map(le, _tableau(a), _tableau(b)))
+
+
+def _tableau(w: tuple[int, ...]) -> tuple[int, ...]:
+    """sorted(w[:1]), ..., sorted(w[:n-1]) concatenated: by the tableau
+    criterion, u <= v iff their tableaux compare entrywise."""
+    return tuple(x for i in range(1, len(w)) for x in sorted(w[:i]))
 
 
 @cache
 def _tableaux(n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Each w in S_n mapped to sorted(w[:1]), ..., sorted(w[:n-1]) concatenated:
-    by the tableau criterion, u <= v iff their images compare entrywise."""
-    return {w: tuple(x for i in range(1, n) for x in sorted(w[:i])) for w in permutations(range(1, n + 1))}
+    """Each w in S_n mapped to its ``_tableau``."""
+    return {w: _tableau(w) for w in permutations(range(1, n + 1))}
 
 
 def bruhat_interval(u: Sequence[int], v: Sequence[int]) -> set[tuple[int, ...]]:

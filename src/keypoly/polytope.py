@@ -41,16 +41,18 @@ decided by a fraction-free dual simplex: every tableau entry is a Python
 int over one shared denominator, the previous pivot (Bareiss), so with
 exact arithmetic every answer is reproducible bit for bit.
 
-Every solve starts from the hull's crash basis B of the rows (1, s),
-stored with the integer matrix d * B^-1 and built once from the
-generators alone (``_crash_basis``).  Its reduced costs for the phase-1
-objective, the artificial sum, are all 0, so it is dual feasible for
-every point.  Reduced costs do not depend on the right-hand side, so the
-dual simplex (Lemke 1954) starts from it for any point: dual pivots
-under the dual form of Bland's smallest-index rule, which rules out
-cycling, repair the right-hand side, and a point the crash basis already
-fits takes no pivot.  No solve changes the hull, so an answer does not
-depend on which questions came before it.
+Every solve starts from the hull's crash basis, built once from the
+generators alone (``_crash_basis``) by pivoting generator columns into
+the all-artificial tableau of the rows (1, s).  The rows it cannot pivot
+are zero on every generator column, so each is an equation of the hull's
+affine span, and a point that breaks one is refused before any pivot.
+A point on the span is decided by a dual simplex (Lemke 1954) with no
+objective: the solve copies the pivoted rows, adds the point's
+right-hand side, and pivots by Bland's smallest-index rule, which rules
+out cycling, until the right-hand side is repaired or a row proves it
+cannot be.  A point the crash basis already fits takes no pivot.  No
+solve changes the hull, so an answer does not depend on which questions
+came before it.
 
 Every LP answer carries a certificate that is checked before it is
 returned.  A "yes" is a nonnegative integer combination of the
@@ -90,8 +92,8 @@ class CertificateError(ArithmeticError):
     """An exact membership answer failed the check of its own certificate."""
 
 
-# A basis (columns, rows, d); see ``VPolytope._crash``.
-_Basis = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]
+# A crash basis (columns, rows, equations, d); see ``_crash_basis``.
+_Crash = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int]
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,10 @@ class VPolytope:
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if type(self.n) is not int:
+            raise TypeError(f"dimension must be an int, got {self.n!r}")
+        if type(self.generators) is not tuple or not all(type(g) is tuple for g in self.generators):
+            raise TypeError("generators must be a tuple of tuples")
         if not self.generators:
             raise ValueError("a polytope needs at least one generator")
         types = set(map(type, chain.from_iterable(self.generators)))
@@ -132,11 +138,9 @@ class VPolytope:
         return frozenset(self.generators)
 
     @cached_property
-    def _crash(self) -> _Basis:
-        """The basis every LP solve on this hull starts from, as
-        ``(columns, rows, d)``: the basic column of each row (a generator
-        index, or k + r for the artificial of row r), and the rows of
-        d * B^-1; see ``_crash_basis``."""
+    def _crash(self) -> _Crash:
+        """The basis every LP solve on this hull starts from; see
+        ``_crash_basis``."""
         return _crash_basis(self.generators)
 
     @cached_property
@@ -202,7 +206,7 @@ def contains(p: VPolytope, point: Sequence[numbers.Rational]) -> bool:
 
     Coordinates must be rational (``int`` or ``fractions.Fraction``); a
     float is refused, because its binary expansion is not the decimal it
-    was written as.
+    was written as, and so is a bool, as every other layer refuses it.
     """
     if len(point) != p.n:
         raise ValueError(f"point length {len(point)} does not match dimension {p.n}")
@@ -211,7 +215,7 @@ def contains(p: VPolytope, point: Sequence[numbers.Rational]) -> bool:
         num = tuple(point)
     else:
         for x in point:
-            if not isinstance(x, numbers.Rational):
+            if isinstance(x, bool) or not isinstance(x, numbers.Rational):
                 raise TypeError(f"coordinate {x!r} is not rational; use int or fractions.Fraction")
         den = math.lcm(*(x.denominator for x in point))
         num = tuple(x.numerator * (den // x.denominator) for x in point)
@@ -232,17 +236,17 @@ def contains(p: VPolytope, point: Sequence[numbers.Rational]) -> bool:
 def _convex_feasible(p: VPolytope, num: tuple[int, ...], den: int) -> bool:
     """Whether num/den is in the hull of p, by the dual simplex from the
     crash basis of p, with its certificate checked."""
-    generators = p.generators
-    feasible, certificate, scale = _dual_restart(generators, num, den, p._crash)
+    feasible, certificate, scale = _dual_restart(num, den, p._crash)
     if feasible:
-        _check_combination(generators, num, den, certificate, scale)
+        _check_combination(p.generators, num, den, certificate, scale)
     else:
-        _check_separation(generators, num, den, certificate)
+        _check_separation(p.generators, num, den, certificate)
     return feasible
 
 
-def _crash_basis(generators: Sequence[tuple[int, ...]]) -> _Basis:
-    """A basis of the rows (1, g) that is dual feasible for every point.
+def _crash_basis(generators: Sequence[tuple[int, ...]]) -> _Crash:
+    """The basis of the rows (1, g) that every solve starts from, as
+    ``(columns, rows, equations, d)``.
 
     From the all-artificial tableau [A | I] of the generator columns
     (1, g), each generator column in turn enters at the first row whose
@@ -250,10 +254,11 @@ def _crash_basis(generators: Sequence[tuple[int, ...]]) -> _Basis:
     negated first if the entry is negative.  A column that enters is then
     zero off its row, and one that finds no row is zero on every row
     whose artificial is still basic; later pivots, on such rows, keep
-    both so.  The rows whose artificial stays basic thus end zero on
-    every generator column, and the reduced costs of the phase-1
-    objective are all 0.  Those rows were never negated, so the column of
-    each basic artificial is d times a unit vector, with sign +1.
+    both so.  ``rows`` holds the pivoted rows of d * B^-1 [A | I] whole,
+    generator entries then artificial ones, and ``columns`` the generator
+    basic in each.  The other rows end zero on every generator column, so
+    the artificial part y of each, in ``equations``, has y . (1, g) = 0
+    for every generator g: an equation of the hull's affine span.
     """
     k = len(generators)
     m = len(generators[0]) + 1
@@ -261,32 +266,24 @@ def _crash_basis(generators: Sequence[tuple[int, ...]]) -> _Basis:
     for r, row in enumerate(tableau):
         row += [0] * m
         row[k + r] = 1
-    basis = list(range(k, k + m))
-    free = list(range(m))  # rows whose artificial is still basic
-    unused = [0] * (k + m)  # the objective row _pivot updates; the crash has none
+    basis = [None] * m  # None while the row's artificial is basic
     d = 1
     for j in range(k):
-        leave = next((r for r in free if tableau[r][j]), None)
+        leave = next((r for r, row in enumerate(tableau) if basis[r] is None and row[j]), None)
         if leave is None:
             continue
         if tableau[leave][j] < 0:
             tableau[leave] = [-x for x in tableau[leave]]
-        d = _pivot(tableau, unused, leave, j, d)
+        d = _pivot(tableau, leave, j, d)
         basis[leave] = j
-        free.remove(leave)
-        if not free:
-            break
-    return tuple(basis), tuple(tuple(row[k:]) for row in tableau), d
+    columns, rows = zip(*((j, tuple(row)) for j, row in zip(basis, tableau) if j is not None))
+    equations = tuple(tuple(row[k:]) for j, row in zip(basis, tableau) if j is None)
+    return columns, rows, equations, d
 
 
-def _dual_restart(
-    generators: Sequence[tuple[int, ...]],
-    num: tuple[int, ...],
-    den: int,
-    start: _Basis,
-) -> tuple[bool, list[int], int]:
-    """Fraction-free dual simplex with Bland's rule on the convex
-    combination system, from the crash basis ``start``.
+def _dual_restart(num: tuple[int, ...], den: int, start: _Crash) -> tuple[bool, list[int], int]:
+    """Fraction-free dual simplex with no objective, under Bland's rule, on
+    the convex combination system, from the crash basis ``start``.
 
     Returns ``(True, lam, d)`` when the system is feasible, where lam are
     integer weights with ``sum lam == d * den`` and ``sum lam_s * s ==
@@ -294,70 +291,53 @@ def _dual_restart(
     rows (convexity row first) with ``y . (1, s) <= 0`` for every
     generator s and ``y . (den, num) > 0``.  The caller checks either.
 
-    The phase-1 objective minimizes the sum of the artificials, the
-    column e_r of row r.  A crash basis B is dual feasible for it
-    whatever the right-hand side (see ``_crash_basis``) on the generator
-    columns and its basic artificials, the only artificials that may
-    enter: the others are dropped.  Any weights that put the point in the
-    hull still solve the smaller system with artificial sum 0, so a
-    positive optimum, or a row that proves it infeasible, still puts the
-    point outside.  A point that B already fits takes no pivot.
+    A span equation y that (den, num) breaks refuses the point at once,
+    with y or -y.  Otherwise each step the basic variable of smallest
+    index among those of negative value leaves, and the generator column
+    of smallest index among the negative entries of its row enters; a row
+    with none is >= 0 on every (1, g), yet negative on (den, num).  The
+    leaving row is negated first, so that the pivot, the next d, is
+    positive, and every basic column stays d times a unit vector.
 
-    Each step the basic variable of smallest index among those of
-    negative value leaves, and the column of smallest ratio reduced cost
-    / |entry| among its negative entries enters, ties to the smallest
-    index.  The leaving row is negated first, so that the pivot, the next
-    d, is positive, and every basic column stays d times a unit vector.
+    The objective of phase 1, the artificial sum, is left out because it
+    never changes a choice.  Let y be the sum of the crash basis's
+    artificial rows.  A generator column's reduced cost, -y . (1, g), is
+    0, since those rows are 0 on it, and a basic artificial's, d - y_r,
+    is 0, since its column is d times a unit vector.  A pivot whose
+    entering cost is 0 only rescales the objective row, so every ratio of
+    the dual ratio test stays 0 and ties go to the smallest index.  The
+    artificial rows have no entering column, so they never leave, and
+    pivots rescale them by p / d > 0, so their sign is fixed from the
+    start: a nonzero one is the refusal above, and a zero one cannot
+    change a pivot and is dropped.
     """
-    columns, rows, d = start
-    k = len(generators)
-    # y = d * c_B * B^-1 is the sum of the rows whose basic column is
-    # an artificial, the columns of cost 1.
-    y = [0] * (len(num) + 1)
-    for j, row in zip(columns, rows):
-        if j >= k:
-            y = list(map(add, y, row))
-    eligible = [*range(k), *sorted(j for j in columns if j >= k)]
-    vectors = [(1, *g) for g in generators]
+    columns, rows, equations, d = start
     rhs = (den, *num)
-    # Row i is row i of d * B^-1 times the generator columns, the
-    # artificial columns (so row i itself) and (den, num).
-    tableau = [[sum(map(mul, row, v)) for v in vectors] + [*row, sum(map(mul, row, rhs))] for row in rows]
-    # obj holds d * cost - y . column, the reduced costs of B times d,
-    # and -y . (den, num), minus the artificial sum times d.
-    obj = [-sum(map(mul, y, v)) for v in vectors] + [d - t for t in y] + [-sum(map(mul, y, rhs))]
+    for y in equations:
+        value = sum(map(mul, y, rhs))
+        if value:
+            return False, [x if value > 0 else -x for x in y], d
+    k = len(rows[0]) - len(rhs)
+    tableau = [[*row, sum(map(mul, row[k:], rhs))] for row in rows]
     basis = list(columns)
-    while True:
-        leave = min((r for r, row in enumerate(tableau) if row[-1] < 0), key=basis.__getitem__, default=None)
-        if leave is None:
-            break
+    while negative := [r for r, row in enumerate(tableau) if row[-1] < 0]:
+        leave = min(negative, key=basis.__getitem__)
         row = tableau[leave]
-        enter = None
-        for c in eligible:
-            a = row[c]
-            # obj[c] / -a < obj[enter] / -best_a; eligible is ascending.
-            if a < 0 and (enter is None or obj[c] * best_a > obj[enter] * a):
-                enter, best_a = c, a
+        enter = next((j for j in range(k) if row[j] < 0), None)
         if enter is None:
-            # Row leave of B^-1 is >= 0 on every generator column (1, g),
-            # yet negative on (den, num).
             return False, [-x for x in row[k:-1]], d
         tableau[leave] = [-x for x in row]
-        d = _pivot(tableau, obj, leave, enter, d)
+        d = _pivot(tableau, leave, enter, d)
         basis[leave] = enter
-    if obj[-1]:
-        # obj on artificial column r is d - y_r, as its cost is 1.
-        return False, [d - x for x in obj[k:-1]], d
     lam = [0] * k
-    for r, j in enumerate(basis):
-        if j < k:
-            lam[j] = tableau[r][-1]
+    for j, row in zip(basis, tableau):
+        lam[j] = row[-1]
     return True, lam, d
 
 
-def _pivot(tableau: list[list[int]], obj: list[int], leave: int, enter: int, d: int) -> int:
-    """One fraction-free (Bareiss) pivot on tableau[leave][enter] > 0,
-    in place on tableau and obj; returns the pivot, the next d."""
+def _pivot(tableau: list[list[int]], leave: int, enter: int, d: int) -> int:
+    """One fraction-free (Bareiss) pivot on tableau[leave][enter] > 0, in
+    place; returns the pivot, the next d."""
     pivot_row = tableau[leave]
     p = pivot_row[enter]
     for r, row in enumerate(tableau):
@@ -367,8 +347,6 @@ def _pivot(tableau: list[list[int]], obj: list[int], leave: int, enter: int, d: 
                 tableau[r] = [(x * p - f * y) // d for x, y in zip(row, pivot_row)]
             else:
                 tableau[r] = [x * p // d for x in row]
-    f = obj[enter]
-    obj[:] = [(x * p - f * y) // d for x, y in zip(obj, pivot_row)]
     return p
 
 

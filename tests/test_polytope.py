@@ -194,6 +194,20 @@ class TestVPolytope:
             with pytest.raises(TypeError):
                 VPolytope.from_points(2, [bad, (2, 0)])
 
+    @pytest.mark.parametrize(
+        "n, generators",
+        [
+            (True, ((1,),)),
+            (2.0, ((1, 2), (2, 1))),
+            ("2", ((1, 2), (2, 1))),
+            (2, ([1, 2], [2, 1])),
+            (2, [(1, 2), (2, 1)]),
+        ],
+    )
+    def test_dimension_must_be_an_int_and_generators_tuples(self, n, generators):
+        with pytest.raises(TypeError):
+            VPolytope(n, generators)
+
 
 class TestContains:
     def test_generators_are_inside(self):
@@ -235,6 +249,13 @@ class TestContains:
         for bad in ((0.1, 0.9), (Fraction(1, 10), 0.9), (Decimal("0.1"), Decimal("0.9"))):
             with pytest.raises(TypeError):
                 contains(p, bad)
+
+    @pytest.mark.parametrize("bad", [(True, True), (True, 1), (Fraction(1, 2), False)])
+    def test_bool_coordinates_rejected(self, bad):
+        p = VPolytope.from_points(2, [(0, 2), (2, 0)])
+        assert contains(p, (1, 1))
+        with pytest.raises(TypeError):
+            contains(p, bad)
 
     def test_deterministic(self):
         p = VPolytope.from_points(3, set(permutations((4, 2, 0))))
@@ -403,7 +424,7 @@ _TAMPER_SCRIPT = textwrap.dedent(
         return False
 
     square = ((0, 0), (2, 0), (0, 2))
-    feasible, lam, scale = _dual_restart(square, (1, 1), 2, VPolytope(2, square)._crash)
+    feasible, lam, scale = _dual_restart((1, 1), 2, VPolytope(2, square)._crash)
     if not feasible or rejected(_check_combination, square, (1, 1), 2, lam, scale):
         raise SystemExit("honest hull certificate was not accepted")
     for i in range(len(lam)):
@@ -412,7 +433,7 @@ _TAMPER_SCRIPT = textwrap.dedent(
             bad[i] += delta
             if not rejected(_check_combination, square, (1, 1), 2, bad, scale):
                 raise SystemExit(f"tampered weights {bad} were accepted")
-    feasible, y, _ = _dual_restart(square, (2, 2), 1, VPolytope(2, square)._crash)
+    feasible, y, _ = _dual_restart((2, 2), 1, VPolytope(2, square)._crash)
     if feasible or rejected(_check_separation, square, (2, 2), 1, y):
         raise SystemExit("honest separation certificate was not accepted")
     for i in range(len(y)):
@@ -487,10 +508,10 @@ _CRASH_SCRIPT = textwrap.dedent(
     if answer_all() != answers or any(vars(p) != state[p] for p, _ in asked):
         raise SystemExit("an answer changed its hull")
 
-    columns, rows, d = crash[triangle]
+    columns, rows, equations, d = crash[triangle]
     bad = [list(row) for row in rows]
-    bad[0][1] = -bad[0][1]
-    vars(triangle)["_crash"] = (columns, tuple(map(tuple, bad)), d)
+    bad[0][-2] = -bad[0][-2]  # an artificial entry of the first pivoted row
+    vars(triangle)["_crash"] = (columns, tuple(map(tuple, bad)), equations, d)
     try:
         contains(triangle, third)
     except CertificateError:
@@ -529,7 +550,7 @@ _RESTART_SCRIPT = textwrap.dedent(
         return feasible, [-x for x in certificate], scale
 
     def tampered(*args):
-        calls.append(args[1:3])
+        calls.append(args[:2])
         return tamper(*real(*args))
 
     honest = [contains(hull(), point) for point in asked]
@@ -591,7 +612,7 @@ class TestCertificates:
         real = polytope._dual_restart
 
         def wrong_answer(*args):
-            solved.append(args[1:3])
+            solved.append(args[:2])
             feasible, certificate, scale = real(*args)
             return not feasible, certificate, scale
 
@@ -800,15 +821,19 @@ def hulls_with_points(draw):
     return n, tuple(generators), points
 
 
-def _assert_inverts_its_columns(p, basis):
-    """d * B^-1 times each basic column of B is d > 0 times a unit
-    vector: (1, g) for a generator g, and e_r for the artificial of row r."""
-    columns, rows, d = basis
-    assert d > 0, basis
-    k, m = len(p.generators), p.n + 1
-    for i, j in enumerate(columns):
-        column = (1, *p.generators[j]) if j < k else [int(r == j - k) for r in range(m)]
-        assert [sum(map(mul, row, column)) for row in rows] == [d * (r == i) for r in range(m)], (basis, j)
+def _assert_inverts_its_columns(p, crash):
+    """Each pivoted row of the crash basis is its artificial part times
+    [A | I], and those parts map the basic generator columns (1, g) to
+    d > 0 times the unit vectors; there is one pivoted row or equation
+    per row of the system."""
+    columns, rows, equations, d = crash
+    assert d > 0 and len(rows) + len(equations) == p.n + 1, crash
+    vectors = [(1, *g) for g in p.generators]
+    k = len(vectors)
+    for i, row in enumerate(rows):
+        y = row[k:]
+        assert row[:k] == tuple(sum(map(mul, y, v)) for v in vectors), crash
+        assert [sum(map(mul, y, vectors[j])) for j in columns] == [d * (i == r) for r in range(len(rows))], crash
 
 
 @st.composite
@@ -919,10 +944,10 @@ class TestDualRestart:
     @_RANDOM
     @given(point_sets(), st.data())
     def test_crash_basis_is_dual_feasible_for_every_point(self, case, data):
-        """The crash basis inverts its columns, and each row whose
-        artificial it keeps basic is zero on every generator column
-        (1, g), so every reduced cost is 0; a fresh hull's first answer,
-        which starts from it, matches the reference."""
+        """The pivoted rows of the crash basis invert their columns, and
+        every span equation it sets apart vanishes on every generator
+        column (1, g), so every reduced cost is 0; a fresh hull's first
+        answer, which starts from it, matches the reference."""
         n, generators = case
         p = VPolytope.from_points(n, generators)
         k = len(p.generators)
@@ -932,46 +957,51 @@ class TestDualRestart:
         crash = polytope._crash_basis(p.generators)
         assert p._crash == crash
         _assert_inverts_its_columns(p, crash)
-        for j, row in zip(*crash[:2]):
-            if j >= k:
-                assert all(sum(map(mul, row, (1, *g))) == 0 for g in p.generators), (crash, j)
+        for y in crash[2]:
+            assert any(y) and all(sum(map(mul, y, (1, *g))) == 0 for g in p.generators), (crash, y)
 
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_each_exit_is_reached(self, sign):
-        """The crash basis of the segment from (0, 0) to (2, 2) through
-        (1, 1) takes its first two generators and keeps the artificial of
-        the second coordinate row, whose row of d * B^-1, (0, -1, 1),
-        reads y - x.  (3/2, 3/2) is in the hull but not in that basis's
-        cone: exit 1.  (0, 1/2) has y > x, so the artificial stays
-        positive: exit 2.  (1/2, 0) would need it negative, and its row
-        has no negative entry: exit 3.  In the mirror image, with every
-        coordinate negated, the crash basis takes (-2, -2) and (-1, -1),
-        so (-1/2, -1/2) is exit 1, and (-1/2, 0) and (0, -1/2), on either
-        side of the line, are exits 2 and 3, each after one pivot."""
+    def test_each_exit_is_reached(self, sign, monkeypatch):
+        """The generators (0, 0, 0), (0, 0, 1), (0, 0, 2) and (2, 2, 1)
+        span a triangle in the plane x = y, so the crash basis sets apart
+        the equation y - x = 0.  (0, 1/2, 0) breaks it and is refused
+        with no pivot: exit 1.  (3/2, 3/2, 3/2) lies on the plane and in
+        the box, but outside the triangle, and after one pivot its leaving
+        row has no negative entry: exit 2.  (1/2, 1/2, 3/2) is in the
+        triangle, one pivot away: exit 3.  In the mirror image, with every
+        coordinate negated, (0, -1/2, 0), (-3/2, -3/2, -1/2) and
+        (-1/2, -1/2, -1/2) take the same exits after as many pivots."""
         half = Fraction(sign, 2)
-        p = VPolytope.from_points(2, [(0, 0), (sign, sign), (2 * sign, 2 * sign)])
+        p = VPolytope.from_points(3, [(0, 0, 0), (0, 0, sign), (0, 0, 2 * sign), (2 * sign, 2 * sign, sign)])
         if sign > 0:
-            asked = [(3 * half, 3 * half), (0, half), (half, 0)]
+            asked = [(0, half, 0), (3 * half, 3 * half, 3 * half), (half, half, 3 * half)]
         else:
-            asked = [(half, half), (half, 0), (0, half)]
+            asked = [(0, half, 0), (3 * half, 3 * half, half), (half, half, half)]
+        assert p._crash[2] == ((0, -2, 2, 0),)
+        pivots = []
+        real = polytope._pivot
+        monkeypatch.setattr(polytope, "_pivot", lambda *args: pivots.append(args) or real(*args))
         with _exits_taken() as exits:
-            assert [contains(p, q) for q in asked] == [True, False, False]
+            answers = []
+            for q in asked:
+                before = len(pivots)
+                answers.append((contains(p, q), len(pivots) - before))
+            assert answers == [(False, 0), (False, 1), (True, 1)]
             assert exits == [1, 2, 3]
-            # The hull keeps no basis from exit 1, so asking its point
-            # again runs the dual simplex from the crash basis again.
-            assert contains(p, asked[0]) and exits == [1, 2, 3, 1]
+            # No solve changes the hull, so asking the last point again
+            # takes the same pivot from the crash basis again.
+            assert contains(p, asked[2]) and exits == [1, 2, 3, 3] and len(pivots) == 3
 
 
 @contextlib.contextmanager
 def _exits_taken():
     """Record how each ``_dual_restart`` call returns, told apart by the
-    line of its return statement: 1 for a feasible optimum, 2 for a
-    positive one, 3 for a leaving row that no column can enter."""
+    line of its return statement: 1 for a broken span equation, 2 for a
+    leaving row that no column can enter, 3 for a feasible answer."""
     code = polytope._dual_restart.__code__
     lines, first = inspect.getsourcelines(polytope._dual_restart)
     returns = [first + i for i, line in enumerate(lines) if line.lstrip().startswith("return ")]
-    # In source order: no entering column, positive optimum, feasible optimum.
-    exit_of = dict(zip(returns, (3, 2, 1), strict=True))
+    exit_of = dict(zip(returns, (1, 2, 3), strict=True))
     exits = []
 
     def local(frame, event, arg):

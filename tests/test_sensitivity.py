@@ -8,7 +8,8 @@ per-check content, so most tests pin them exactly.
 
 import pytest
 
-from keypoly import polytope, verify
+from keypoly import bruhat, polytope, verify
+from keypoly.polynomial import SparsePolynomial
 
 
 @pytest.mark.parametrize("answer, failures", [(True, 50), (False, 575)])
@@ -147,3 +148,65 @@ def test_bruhat_catches_verify_qww0_answering_false(monkeypatch):
         {"w": list(w), "equal": False}
         for w in [(1,), (1, 2), (2, 1), (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     ]
+
+
+# Faults that no suite catches yet.  Each row runs every suite at
+# n = 4, parts = 4, and is a strict xfail: the suite that would catch it
+# turns the row into a required failure.
+
+
+def _double_leading_coefficients(monkeypatch):
+    """Every key that verify and bruhat see has the coefficient of its
+    lexicographically largest exponent doubled."""
+    for module in (verify, bruhat):
+
+        def doubled(alpha, original=module.key_polynomial):
+            f = original(alpha)
+            lead = max(f.terms)
+            return SparsePolynomial(f.n, {**f.terms, lead: 2 * f.terms[lead]})
+
+        monkeypatch.setattr(module, "key_polynomial", doubled)
+
+
+def _support_without_greedy_check(monkeypatch):
+    """``support`` returns the support values of every hull whose
+    generators share a coordinate sum, greedy vertices or not."""
+
+    def support(p):
+        if p._common_sum is None:
+            return None
+        masks = range(1 << p.n)
+        return tuple(max(sum(x for i, x in enumerate(g) if s >> i & 1) for g in p.generators) for s in masks)
+
+    monkeypatch.setattr(polytope.VPolytope, "support", property(support))
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [
+        pytest.param(
+            _double_leading_coefficients,
+            marks=pytest.mark.xfail(strict=True, reason="every suite compares supports, not coefficients"),
+        ),
+        pytest.param(
+            _support_without_greedy_check,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="every hull a suite builds is a generalized permutahedron, "
+                "so only the unit tests in test_polytope.py guard this check",
+            ),
+        ),
+    ],
+)
+def test_run_verification_catches(monkeypatch, plant):
+    plant(monkeypatch)
+    assert not verify.run_verification(4, 4).passed
+
+
+def test_uncaught_faults_take_effect(monkeypatch):
+    """The rows above fail for want of a suite, not of a fault."""
+    _double_leading_coefficients(monkeypatch)
+    _support_without_greedy_check(monkeypatch)
+    for module in (verify, bruhat):
+        assert module.key_polynomial((0, 1)).terms == {(1, 0): 2, (0, 1): 1}
+    assert polytope.VPolytope.from_points(3, [(2, 0, 1), (0, 1, 2), (1, 2, 0)]).support is not None
