@@ -19,6 +19,17 @@ map; ``Move`` objects are built only for the path that ``leq_kappa``
 returns.  The most recent search is memoized, so a closure
 followed by reachability queries from the same alpha searches once;
 ``closure`` and ``closure_order`` return fresh copies of it.
+
+A sweep that needs the closure of every vector of a class (one length,
+one sum, parts up to a cap) gets them all from ``class_closures`` in one
+pass, with no search.  Every legal move raises a vector in lex order (a
+T move puts the larger entry at i, an M move raises entry i by 1, and
+the entries before i stay), so on each class the moves form a DAG, and
+in decreasing lex order every successor comes first.  Hence closure(v)
+is v together with the closures of its one-move successors, which lie in
+v's class: one ``|`` of bitmasks per legal move.  The BFS stays the
+reference the pass is tested against, and serves single queries and
+witness chains.
 """
 
 from __future__ import annotations
@@ -27,7 +38,8 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
+from operator import mul
 
 __all__ = [
     "Move",
@@ -38,6 +50,7 @@ __all__ = [
     "closure",
     "closure_order",
     "leq_kappa",
+    "class_closures",
     "dominance_leq",
     "dominated_rearrangements",
 ]
@@ -244,6 +257,47 @@ def leq_kappa(beta: Sequence[int], alpha: Sequence[int]) -> tuple[bool, MoveChai
         path.append(Move(kind, i, j))
         step = parents[node]
     return True, MoveChain(a, tuple(reversed(path)))
+
+
+def class_closures(n: int, cap: int, total: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The move closures of one class: the length-n vectors with entries in
+    0..cap summing to total, in decreasing lex order, and the closure of
+    each as a bitmask over that list (bit k for the k-th vector).
+
+    Every legal move raises a vector in lex order, since it raises the
+    entry at i and keeps the entries before i, and keeps it in its class.
+    So the vectors are visited after all their one-move successors w, and
+    closure(v) = {v} together with the union of every closure(w), one
+    ``|`` per legal move.  As in ``_bfs_parents``, each vector is packed
+    into one int, in base cap + 1, and a move adds a fixed step to it.
+
+    ``closure`` stays the reference; this serves a sweep over whole
+    classes, which it answers without one search per vector.
+    """
+    if n < 1:
+        raise ValueError(f"a class needs length at least 1, got {n}")
+    # The heads in decreasing lex order, each with the one last entry
+    # that completes the sum.
+    heads = product(range(cap, -1, -1), repeat=n - 1)
+    vectors = [(*head, last) for head in heads if 0 <= (last := total - sum(head)) <= cap]
+    base = cap + 1
+    place = [base ** (n - 1 - i) for i in range(n)]
+    pairs = [(i, j, place[i] - place[j]) for i in range(n - 1) for j in range(i + 1, n)]
+    found: dict[int, int] = {}
+    masks = []
+    for k, v in enumerate(vectors):
+        e = sum(map(mul, v, place))
+        mask = 1 << k
+        for i, j, d in pairs:
+            a = v[i]
+            b = v[j]
+            if a < b:
+                mask |= found[e + (b - a) * d]
+                if a < b - 1:
+                    mask |= found[e + d]
+        found[e] = mask
+        masks.append(mask)
+    return vectors, masks
 
 
 def dominance_leq(mu: Sequence[int], lam: Sequence[int]) -> bool:

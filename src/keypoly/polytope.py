@@ -23,6 +23,14 @@ and ``polytope_equal`` of two certified hulls compares their support
 values.  When a check fails, ``support`` is None and both fall
 back to the LP below; which path runs depends only on the generators.
 
+``newton_lattice_points`` needs no certificate when the answer is the
+exponents G themselves.  When G shares a coordinate sum, G lies in the
+lattice points of its hull, and those lie in the lattice points of the
+H-polytope of G's support values, certified or not; so an H-polytope
+whose lattice points are G proves the Newton polytope saturated (when G
+does not, the H-polytope, all of one sum, cannot hold exactly G).  Only
+a miss builds the hull.
+
 ``contains`` and ``polytope_subset`` (hence the ``rado`` suite) answer
 from LP certificates, never from support values: for a permutohedron h(S)
 is the sum of the |S| largest parts, so its inequalities are dominance
@@ -68,7 +76,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, permutations, product
@@ -82,6 +90,7 @@ __all__ = [
     "newton_polytope",
     "contains",
     "lattice_points",
+    "newton_lattice_points",
     "snp_check",
     "polytope_subset",
     "polytope_equal",
@@ -165,16 +174,22 @@ class VPolytope:
         """
         if self._common_sum is None:
             return None
-        # sums[S] lists sum_{i in S} g_i for every generator g.
-        sums = [[0] * len(self.generators)]
-        for column in zip(*self.generators):
-            sums += [list(map(add, s, column)) for s in sums]
-        h = tuple(map(max, sums))
+        h = _support_values(self.generators)
         get = h.__getitem__
         for upto, before in _greedy_chains(self.n):
             if tuple(map(sub, map(get, upto), map(get, before))) not in self._generator_set:
                 return None
         return h
+
+
+def _support_values(points: Collection[tuple[int, ...]]) -> tuple[int, ...]:
+    """h(S) = max over points g of sum_{i in S} g_i for every bitmask S
+    (bit i for coordinate i + 1), of a nonempty set of points."""
+    # sums[S] lists sum_{i in S} g_i for every point g.
+    sums = [[0] * len(points)]
+    for column in zip(*points):
+        sums += [list(map(add, s, column)) for s in sums]
+    return tuple(map(max, sums))
 
 
 @cache
@@ -452,12 +467,31 @@ def _support_lattice_points(n: int, h: Sequence[int]) -> set[tuple[int, ...]]:
     return points
 
 
-def snp_check(f: SparsePolynomial) -> bool:
-    """Whether every lattice point of Newton(f) is an exponent vector of f."""
+def newton_lattice_points(f: SparsePolynomial) -> set[tuple[int, ...]]:
+    """All integer points of the Newton polytope of a nonzero polynomial.
+
+    First by the sandwich.  Let G be the exponents and h their support
+    values.  Every g in G meets g(S) <= h(S), so G lies in the lattice
+    points of conv G, which lie in those of H(h), the points x with
+    x(S) <= h(S) for every S and sum(x) = h(all), whether or not h is
+    submodular.  (When G has two coordinate sums, conv G leaves that
+    hyperplane, but then H(h) misses the smaller sum, so it cannot
+    equal G.)  So when H(h) has exactly the lattice points G, so does
+    conv G: the Newton polytope is saturated, with no greedy-vertex check
+    and no LP.  Otherwise ``lattice_points`` of the Newton polytope
+    decides.
+    """
     exps = f.exponents()
     if not exps:
-        return True
-    return lattice_points(VPolytope.from_points(f.n, exps)) == exps
+        raise ValueError("the zero polynomial has no Newton polytope")
+    if _support_lattice_points(f.n, _support_values(exps)) == exps:
+        return exps
+    return lattice_points(newton_polytope(f))
+
+
+def snp_check(f: SparsePolynomial) -> bool:
+    """Whether every lattice point of Newton(f) is an exponent vector of f."""
+    return f.is_zero() or newton_lattice_points(f) == f.exponents()
 
 
 def polytope_subset(p: VPolytope, q: VPolytope) -> bool:

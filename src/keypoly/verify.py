@@ -15,8 +15,22 @@ that the underlying theory says coincide:
 ``weight_set``) without building any diagram or filling; ``aa`` compares
 explicitly enumerated fillings.
 
+``theorem11`` and ``rado`` take their move closures from
+``class_closures``, one (length, sum) class at a time, as bitmasks over
+the class; the other side is encoded into the same bits, and only a
+difference is decoded into a failure record.  The records of one length
+are reported after it, sorted by alpha, so in sweep order.
+``theorem11``'s lattice side is ``newton_lattice_points``, the sandwich:
+the exponents G, all of one coordinate sum, lie in the lattice points of
+their hull, which lie in those of the H-polytope of G's support values
+whether or not those values are certified.  So when that H-polytope
+holds exactly G, the Newton polytope is saturated with lattice points G,
+with no greedy-vertex check and no LP.  Only a miss falls back to
+``lattice_points`` of the hull, so a real failure is still found.
+
 A run's work depends only on ``(n_max, part_max)``.  The composition
-suites sweep lengths 1..n_max with parts up to part_max, ``bruhat``
+suites sweep lengths n = 1..n_max with parts up to part_max (up to
+min(part_max, n) for ``kk`` and ``ccc``, whose skylines are n x n), ``bruhat``
 sweeps S_1..S_{n_max}, ``aa`` takes one fixed diagram and 50 seeded
 random ones of size up to min(n_max, 4), and ``rado``'s inclusion checks
 pair the partitions of length n_max and sum at most 10.
@@ -34,13 +48,14 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import permutations, product
+from operator import itemgetter
 
 from .bruhat import longest_element, verify_qww0
 from .diagram import Diagram, lower_monomials, skyline
 from .filling import enumerate_fillings, enumerate_sorted_fillings, weight, weight_set
-from .moves import closure, dominance_leq, dominated_rearrangements, _partitions
+from .moves import _partitions, class_closures, dominance_leq, dominated_rearrangements
 from .polynomial import exponent_vectors, key_polynomial
-from .polytope import VPolytope, lattice_points, polytope_subset
+from .polytope import VPolytope, newton_lattice_points, polytope_subset
 
 __all__ = ["SUITE_NAMES", "SuiteResult", "VerificationReport", "run_verification"]
 
@@ -73,14 +88,12 @@ class VerificationReport:
         return {**vars(self), "suites": [s.to_json_dict() for s in self.suites]}
 
 
-def composition_family(n_max: int, part_max: int, cap_parts_by_n: bool):
-    """The sweep family: for n = 1..n_max, all length-n vectors with parts
-    in 0..cap, lexicographically.  The cap is part_max, or min(part_max, n)
-    for suites that build skyline diagrams, since larger parts leave the
-    grid."""
+def composition_family(n_max: int, part_max: int):
+    """The skyline sweep family: for n = 1..n_max, all length-n vectors
+    with parts in 0..min(part_max, n), lexicographically, since larger
+    parts leave the grid."""
     for n in range(1, n_max + 1):
-        cap = min(part_max, n) if cap_parts_by_n else part_max
-        yield from product(range(cap + 1), repeat=n)
+        yield from product(range(min(part_max, n) + 1), repeat=n)
 
 
 def _set_failure(label: dict, lhs: set, rhs: set) -> dict | None:
@@ -111,7 +124,7 @@ def _skyline_suite(name: str, description: str, n_max: int, part_max: int, side)
     over the skyline sweep."""
 
     def run():
-        for alpha in composition_family(n_max, part_max, cap_parts_by_n=True):
+        for alpha in composition_family(n_max, part_max):
             lhs = side(skyline(alpha))
             exps = exponent_vectors(key_polynomial(alpha))
             yield _set_failure({"alpha": list(alpha)}, lhs, exps)
@@ -129,20 +142,56 @@ def suite_ccc(n_max: int, part_max: int) -> SuiteResult:
     return _skyline_suite("ccc", "filling weights == key exponents", n_max, part_max, weight_set)
 
 
+def _closures(n: int, part_max: int):
+    """Each length-n vector alpha with parts in 0..part_max, with
+    ``differs(label, other)``: None when the set other is the move closure
+    of alpha, else label with the symmetric difference.
+
+    The closures come from ``class_closures``, one (length, sum) class at
+    a time, as bitmasks.  other is encoded into the same bits, through
+    the mask's binary digits, and only a difference decodes the closure.
+    """
+    for total in range(n * part_max + 1):
+        vectors, masks = class_closures(n, part_max, total)
+        size = len(vectors)
+        # Bit k of a mask is binary digit size - 1 - k, most significant first.
+        digit = {v: size - 1 - k for k, v in enumerate(vectors)}
+        for alpha, mask in zip(vectors, masks):
+
+            def differs(label, other, mask=mask):
+                digits = bytearray(b"0") * size
+                for v in other:
+                    if v not in digit:
+                        break
+                    digits[digit[v]] = 49  # ord("1")
+                else:
+                    if int(digits, 2) == mask:
+                        return None
+                return _set_failure(label, {v for k, v in enumerate(vectors) if mask >> k & 1}, other)
+
+            yield alpha, differs
+
+
 def suite_theorem11(n_max: int, part_max: int) -> SuiteResult:
     def run():
-        for alpha in composition_family(n_max, part_max, cap_parts_by_n=False):
-            reach = closure(alpha)
-            exps = exponent_vectors(key_polynomial(alpha))
-            points = lattice_points(VPolytope.from_points(len(alpha), exps))
-            if reach == exps == points:
-                yield None
-                continue
-            # "equal" and "only_*" describe the closure side; a lattice failure nests.
-            label = {"alpha": list(alpha), "compared": "closure/exponents"}
-            lattice = _set_failure({**label, "compared": "lattice/exponents"}, points, exps)
-            record = _set_failure(label, reach, exps) or {**label, "equal": True}
-            yield {**record, "lattice_equal": lattice is None, **({"lattice_diff": lattice} if lattice else {})}
+        for n in range(1, n_max + 1):
+            failures = []
+            for alpha, differs in _closures(n, part_max):
+                key = key_polynomial(alpha)
+                exps = exponent_vectors(key)
+                points = newton_lattice_points(key)
+                # "equal" and "only_*" describe the closure side; a lattice failure nests.
+                label = {"alpha": list(alpha), "compared": "closure/exponents"}
+                record = differs(label, exps)
+                if record is None and points == exps:
+                    yield None
+                    continue
+                lattice = _set_failure({**label, "compared": "lattice/exponents"}, points, exps)
+                record = record or {**label, "equal": True}
+                failures.append(
+                    {**record, "lattice_equal": lattice is None, **({"lattice_diff": lattice} if lattice else {})}
+                )
+            yield from sorted(failures, key=itemgetter("alpha"))
 
     return _run_suite(
         "theorem11", "move closure == key exponents == Newton lattice points", run()
@@ -175,15 +224,18 @@ def suite_aa(n_max: int) -> SuiteResult:
 
 def suite_rado(n_max: int, part_max: int) -> SuiteResult:
     def run():
-        for alpha in composition_family(n_max, part_max, cap_parts_by_n=False):
-            if any(alpha[k] > alpha[k + 1] for k in range(len(alpha) - 1)):
-                continue
-            lam = tuple(sorted(alpha, reverse=True))
-            yield _set_failure(
-                {"kind": "closure", "alpha": list(alpha)},
-                closure(alpha),
-                dominated_rearrangements(lam),
-            )
+        for n in range(1, n_max + 1):
+            failures = []
+            for alpha, differs in _closures(n, part_max):
+                if any(alpha[k] > alpha[k + 1] for k in range(n - 1)):
+                    continue
+                lam = tuple(sorted(alpha, reverse=True))
+                record = differs({"kind": "closure", "alpha": list(alpha)}, dominated_rearrangements(lam))
+                if record is None:
+                    yield None
+                else:
+                    failures.append(record)
+            yield from sorted(failures, key=itemgetter("alpha"))
         n = n_max
         for total in range(_PAIR_SUM_CAP + 1):
             parts = list(_partitions(total, total, n))

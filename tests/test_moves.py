@@ -18,6 +18,7 @@ from keypoly.moves import (
     MoveChain,
     MoveError,
     apply_move,
+    class_closures,
     closure,
     closure_order,
     dominance_leq,
@@ -179,6 +180,30 @@ class TestClosure:
             for v in closure(alpha):
                 assert sum(v) == sum(alpha)
                 assert min(alpha) <= min(v) and max(v) <= max(alpha)
+
+
+class TestClassClosures:
+    def test_match_bfs_closure(self):
+        """The one-pass closures equal the BFS on every vector of length
+        <= 4 with parts <= 4, and the classes of one length hold each such
+        vector once, in decreasing lex order within a class."""
+        for n in range(1, 5):
+            seen = []
+            for total in range(4 * n + 1):
+                vectors, masks = class_closures(n, 4, total)
+                assert vectors == sorted(vectors, reverse=True) and len(masks) == len(vectors)
+                for v, mask in zip(vectors, masks):
+                    assert sum(v) == total
+                    assert {w for k, w in enumerate(vectors) if mask >> k & 1} == closure(v), v
+                seen += vectors
+            assert sorted(seen) == list(product(range(5), repeat=n))
+
+    def test_edge_classes(self):
+        with pytest.raises(ValueError):
+            class_closures(0, 3, 0)
+        assert class_closures(1, 3, 2) == ([(2,)], [1])
+        assert class_closures(3, 2, 7) == ([], [])
+        assert class_closures(2, 3, 3) == ([(3, 0), (2, 1), (1, 2), (0, 3)], [0b1, 0b10, 0b110, 0b1111])
 
 
 class TestLeqKappa:

@@ -12,9 +12,10 @@ one point per orbit; its answers are compared with the scan of every
 generator by the reference, in the rado sweep and on random orbit hulls.
 
 The LP scan stays the oracle for the certified H-representation path of
-``lattice_points``: ``lp_lattice_points`` forces the fallback, and the
-two are compared on every Newton polytope of the theorem11 sweep at
-n <= 4, parts <= 4, and on random hulls.  Random simplices double as an
+``lattice_points`` and for the sandwich of ``newton_lattice_points``:
+``lp_lattice_points`` forces the fallback, and they are compared on
+every Newton polytope of the theorem11 sweep at n <= 4, parts <= 4, and
+on random hulls.  Random simplices double as an
 independent oracle for ``support``: all their vertex pairs are edges, so
 one is a generalized permutahedron iff every edge is parallel to some
 e_i - e_j.
@@ -45,6 +46,7 @@ from keypoly.polytope import (
     VPolytope,
     contains,
     lattice_points,
+    newton_lattice_points,
     newton_polytope,
     polytope_equal,
     polytope_subset,
@@ -143,6 +145,12 @@ def via_lp(fn, *args):
 def lp_lattice_points(p):
     """``lattice_points`` through the LP scan, as for an uncertified hull."""
     return via_lp(lattice_points, p)
+
+
+def _sweep(n_max, part_max):
+    """The theorem11 and rado sweep: every vector of length 1..n_max with
+    parts in 0..part_max, lexicographically."""
+    return [alpha for n in range(1, n_max + 1) for alpha in product(range(part_max + 1), repeat=n)]
 
 
 def hull_contains_2d(generators, point):
@@ -321,6 +329,52 @@ class TestSnp:
                 assert snp_check(key_polynomial(alpha)), alpha
 
 
+class TestNewtonLatticePoints:
+    """The sandwich answers when the H-polytope of the exponents' support
+    values holds the exponents alone; otherwise ``lattice_points``
+    decides."""
+
+    def _spy(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(polytope, "lattice_points", lambda p: calls.append(p) or lattice_points(p))
+        return calls
+
+    def test_sandwich_answers_a_key(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        assert newton_lattice_points(key_polynomial((1, 3, 2))) == closure((1, 3, 2))
+        assert calls == []
+
+    def test_saturated_but_missed_by_the_sandwich(self, monkeypatch):
+        # The segment from (2, 0, 0) to (0, 1, 1) has no lattice point
+        # inside, but H(h) also holds (1, 1, 0) and (1, 0, 1).
+        f = SparsePolynomial(3, {(2, 0, 0): 1, (0, 1, 1): 1})
+        exps = f.exponents()
+        h = polytope._support_values(exps)
+        assert polytope._support_lattice_points(3, h) == exps | {(1, 1, 0), (1, 0, 1)}
+        calls = self._spy(monkeypatch)
+        assert newton_lattice_points(f) == exps
+        assert calls == [newton_polytope(f)]
+        assert snp_check(f)
+
+    def test_unsaturated_hull_gets_its_lattice_points(self, monkeypatch):
+        f = SparsePolynomial(3, {(2, 0, 1): 1, (0, 1, 2): 1, (1, 2, 0): 1})
+        calls = self._spy(monkeypatch)
+        points = newton_lattice_points(f)
+        assert points == lattice_points(newton_polytope(f)) == f.exponents() | {(1, 1, 1)}
+        assert calls == [newton_polytope(f)]
+        assert not snp_check(f)
+
+    def test_two_coordinate_sums_fall_back(self):
+        # H(h) keeps only the largest sum, so it cannot equal the exponents.
+        f = SparsePolynomial(2, {(1, 0): 1, (0, 3): 1})
+        assert newton_lattice_points(f) == {(1, 0), (0, 3)}
+        assert newton_lattice_points(SparsePolynomial(1, {(1,): 1, (3,): 1})) == {(1,), (2,), (3,)}
+
+    def test_zero_polynomial_refused(self):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            newton_lattice_points(SparsePolynomial.zero(2))
+
+
 class TestPolytopeEqual:
     def test_identical(self):
         p = VPolytope.from_points(2, [(0, 0), (1, 1)])
@@ -393,7 +447,11 @@ class TestReferenceSimplex:
             return contains(p, point)
 
         monkeypatch.setattr(polytope, "contains", record)
-        assert verify.suite_theorem11(3, 3).passed
+        # The Newton polytopes of theorem11's sweep, built here because
+        # the suite reaches an LP only when the sandwich misses.
+        for alpha in _sweep(3, 3):
+            exps = exponent_vectors(key_polynomial(alpha))
+            assert lattice_points(VPolytope.from_points(len(alpha), exps)) == exps
         assert verify.suite_rado(3, 3).passed
         assert len(instances) == 861
         for p, point in dict.fromkeys(instances):
@@ -737,12 +795,12 @@ class TestSupport:
         and their H-path lattice points equal the LP scan's and the
         exponents; at n <= 3, parts <= 3 every box candidate is also
         settled by the Fraction reference simplex."""
-        for alpha in verify.composition_family(4, 4, cap_parts_by_n=False):
+        for alpha in _sweep(4, 4):
             exps = exponent_vectors(key_polynomial(alpha))
             p = VPolytope.from_points(len(alpha), exps)
             assert p.support is not None, alpha
             points = lattice_points(p)
-            assert points == lp_lattice_points(p) == exps, alpha
+            assert points == lp_lattice_points(p) == newton_lattice_points(key_polynomial(alpha)) == exps, alpha
             if len(alpha) <= 3 and max(alpha) <= 3:
                 box = product(*[range(lo, hi + 1) for lo, hi in zip(*p._box)])
                 for c in box:
@@ -776,7 +834,11 @@ class TestSupport:
     def test_random_hulls_match_the_lp_scan(self, case):
         n, generators = case
         p = VPolytope.from_points(n, generators)
-        assert lattice_points(p) == lp_lattice_points(p)
+        points = lp_lattice_points(p)
+        assert lattice_points(p) == points
+        # The sandwich, on the generators moved into the nonnegative orthant.
+        f = SparsePolynomial(n, {tuple(x + 2 for x in g): 1 for g in generators})
+        assert newton_lattice_points(f) == {tuple(x + 2 for x in c) for c in points}
 
     @_RANDOM
     @given(simplex_sums())

@@ -6,9 +6,13 @@ nothing about that layer.  The failure records are a report's only
 per-check content, so most tests pin them exactly.
 """
 
-import pytest
+import inspect
+import textwrap
 
-from keypoly import bruhat, polytope, verify
+import pytest
+import test_moves
+
+from keypoly import bruhat, moves, polytope, verify
 from keypoly.polynomial import SparsePolynomial
 
 
@@ -34,20 +38,44 @@ def _drop_largest(original):
     """Wrap a set-valued function to drop its lexicographically largest
     vector whenever it has more than one."""
 
-    def faulty(arg):
-        found = original(arg)
+    def faulty(*args):
+        found = original(*args)
         return found - {max(found)} if len(found) > 1 else found
 
     return faulty
 
 
+def _drop_largest_lattice_point(monkeypatch):
+    """The H-polytope enumeration behind both the sandwich and
+    ``lattice_points`` drops its largest point."""
+    monkeypatch.setattr(polytope, "_support_lattice_points", _drop_largest(polytope._support_lattice_points))
+
+
 def _gain_a_vector(monkeypatch):
-    """closure(alpha) also reaches (|alpha| + 1, 0, ..., 0), which no
-    vector of weight |alpha| is."""
-    original = verify.closure
-    monkeypatch.setattr(
-        verify, "closure", lambda alpha: original(alpha) | {(sum(alpha) + 1,) + (0,) * (len(alpha) - 1)}
-    )
+    """Every closure of the one-pass sweep also reaches
+    (|alpha| + 1, 0, ..., 0), which no vector of weight |alpha| is.  That
+    vector lies outside the class, so it is appended to the class's
+    vectors with a bit of its own, set in every closure, and has no
+    closure of its own to be checked."""
+    original = verify.class_closures
+
+    def gained(n, cap, total):
+        vectors, masks = original(n, cap, total)
+        extra = 1 << len(vectors)
+        return vectors + [(total + 1,) + (0,) * (n - 1)], [mask | extra for mask in masks]
+
+    monkeypatch.setattr(verify, "class_closures", gained)
+
+
+def _mutant(fn, old, new):
+    """fn compiled again from its source, with the one occurrence of old
+    replaced by new, over a copy of its module's globals."""
+    fn = inspect.unwrap(fn)
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, (fn.__name__, old)
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
 
 
 def test_kk_catches_lower_monomials_dropping_a_vector(monkeypatch):
@@ -64,7 +92,7 @@ def test_kk_catches_lower_monomials_dropping_a_vector(monkeypatch):
 
 
 def test_theorem11_catches_lattice_points_dropping_a_point(monkeypatch):
-    monkeypatch.setattr(verify, "lattice_points", _drop_largest(verify.lattice_points))
+    _drop_largest_lattice_point(monkeypatch)
     result = verify.suite_theorem11(2, 2)
     assert not result.passed and result.checked == 12
     assert result.failures == [
@@ -113,7 +141,7 @@ def test_theorem11_catches_closure_gaining_a_vector(monkeypatch):
 
 def test_theorem11_reports_both_sides_of_one_input(monkeypatch):
     _gain_a_vector(monkeypatch)
-    monkeypatch.setattr(verify, "lattice_points", _drop_largest(verify.lattice_points))
+    _drop_largest_lattice_point(monkeypatch)
     result = verify.suite_theorem11(2, 1)
     assert result.checked == 6
     lattice_diff = {
@@ -137,6 +165,78 @@ def test_rado_catches_closure_gaining_a_vector(monkeypatch):
     assert result.failures == [
         {"kind": "closure", "alpha": list(alpha), "equal": False, "only_lhs": [gained], "only_rhs": []}
         for alpha, gained in [((0,), (1,)), ((1,), (2,)), ((0, 0), (1, 0)), ((0, 1), (2, 0)), ((1, 1), (3, 0))]
+    ]
+
+
+def test_closure_suites_catch_the_pass_without_m_moves(monkeypatch):
+    # Only T moves: each closure holds rearrangements of alpha alone.
+    # rado checks the weakly increasing alpha among these.
+    monkeypatch.setattr(verify, "class_closures", _mutant(moves.class_closures, "if a < b - 1:", "if False:"))
+    missed = [
+        ((0, 2), [(1, 1)]),
+        ((0, 0, 2), [(0, 1, 1), (1, 0, 1), (1, 1, 0)]),
+        ((0, 1, 2), [(1, 1, 1)]),
+        ((0, 2, 0), [(1, 1, 0)]),
+        ((0, 2, 1), [(1, 1, 1)]),
+        ((0, 2, 2), [(1, 1, 2), (1, 2, 1), (2, 1, 1)]),
+        ((1, 0, 2), [(1, 1, 1)]),
+        ((2, 0, 2), [(2, 1, 1)]),
+    ]
+    result = verify.suite_theorem11(3, 2)
+    assert not result.passed and result.checked == 3 + 9 + 27
+    assert result.failures == [
+        {
+            "alpha": list(alpha),
+            "compared": "closure/exponents",
+            "equal": False,
+            "only_lhs": [],
+            "only_rhs": only_rhs,
+            "lattice_equal": True,
+        }
+        for alpha, only_rhs in missed
+    ]
+    result = verify.suite_rado(3, 2)
+    assert not result.passed
+    assert result.failures == [
+        {"kind": "closure", "alpha": list(alpha), "equal": False, "only_lhs": [], "only_rhs": only_rhs}
+        for alpha, only_rhs in missed
+        if list(alpha) == sorted(alpha)
+    ]
+
+
+def test_class_closure_oracle_catches_the_bfs_without_m_moves(monkeypatch):
+    # No suite runs the BFS; the test comparing it with the one-pass
+    # closures guards it.
+    monkeypatch.setattr(moves, "_bfs_parents", _mutant(moves._bfs_parents, "if a < b - 1:", "if False:"))
+    with pytest.raises(AssertionError):
+        test_moves.TestClassClosures().test_match_bfs_closure()
+
+
+def test_theorem11_catches_lattice_points_missing_a_coordinate_range(monkeypatch):
+    # Every coordinate but the last two takes only its lowest value, so
+    # from n = 3 on the sandwich misses and the fallback agrees with it.
+    monkeypatch.setattr(
+        polytope,
+        "_support_lattice_points",
+        _mutant(polytope._support_lattice_points, "for x in range(lo, hi + 1):", "for x in range(lo, lo + 1):"),
+    )
+    result = verify.suite_theorem11(3, 1)
+    assert not result.passed and result.checked == 2 + 4 + 8
+    assert result.failures == [
+        {
+            "alpha": list(alpha),
+            "compared": "closure/exponents",
+            "equal": True,
+            "lattice_equal": False,
+            "lattice_diff": {
+                "alpha": list(alpha),
+                "compared": "lattice/exponents",
+                "equal": False,
+                "only_lhs": [],
+                "only_rhs": only_rhs,
+            },
+        }
+        for alpha, only_rhs in [((0, 0, 1), [(1, 0, 0)]), ((0, 1, 0), [(1, 0, 0)]), ((0, 1, 1), [(1, 0, 1), (1, 1, 0)])]
     ]
 
 
