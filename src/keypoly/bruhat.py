@@ -4,7 +4,8 @@ Permutations of [n] are stored in one-line notation as tuples.  The order
 test uses the tableau criterion (Björner–Brenti, Thm 2.6.3): u <= v iff
 for every prefix length i, sorted(u[:i]) <= sorted(v[:i]) entrywise.
 Intervals are computed by filtering all of S_n, which is fine at the
-small n this package targets (n <= 6 or so).
+small n this package targets (n <= 6 or so).  ``verify_qww0`` reads
+the interval polytope through its lattice points: one hull per w.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import permutations
 from operator import le
 
 from .polynomial import exponent_vectors, key_polynomial
-from .polytope import VPolytope, polytope_equal
+from .polytope import VPolytope, lattice_points
 
 __all__ = [
     "check_permutation",
@@ -83,9 +84,15 @@ def interval_polytope(u: Sequence[int], v: Sequence[int]) -> VPolytope:
 
 
 def verify_qww0(w: Sequence[int]) -> bool:
-    """Whether Newton(key_polynomial(w)) equals the interval polytope from
-    w up to the longest element, with w read as a composition."""
+    """Whether the lattice points LP(Q) of Q = conv [w, w0] are the
+    exponents E of key_polynomial(w), with w read as a composition.
+
+    That is Newton(key(w)) = Q, exactly.  Permutations are vertices of the
+    permutohedron, so [w, w0] is the vertex set of Q.  If LP(Q) = E, then
+    [w, w0] lies in E and E in Q, so conv E = Q.  Conversely, keys are
+    saturated (Fink, Meszaros and St. Dizier 2018): conv E = Q gives
+    E = LP(conv E) = LP(Q).
+    """
     t = check_permutation(w)
-    n = len(t)
-    newton = VPolytope.from_points(n, exponent_vectors(key_polynomial(t)))
-    return polytope_equal(newton, interval_polytope(t, longest_element(n)))
+    interval = interval_polytope(t, longest_element(len(t)))
+    return lattice_points(interval) == exponent_vectors(key_polynomial(t))

@@ -74,8 +74,6 @@ def _verify(args):
     for flag, value in (("--n", args.n_max), ("--parts", args.part_max)):
         if value > 5 and not args.force:
             raise ValueError(f"{flag} beyond 5 needs --force")
-    if args.n_max < 1 or args.part_max < 0:
-        raise ValueError("--n must be >= 1 and --parts >= 0")
     # A repeated --suite runs once, since the summary is keyed by suite name.
     names = SUITE_NAMES if not args.suite or "all" in args.suite else tuple(dict.fromkeys(args.suite))
     # Opening the report first fails on a bad --out before the sweep runs.

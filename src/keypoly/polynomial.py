@@ -58,6 +58,8 @@ class SparsePolynomial:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[tuple[int, ...], int] | None = None):
+        if type(n) is not int:
+            raise TypeError(f"variable count must be an int, got {n!r}")
         if n < 0:
             raise ValueError(f"variable count must be nonnegative, got {n}")
         self.n = n
@@ -67,8 +69,8 @@ class SparsePolynomial:
                 exp = tuple(exp)
                 if len(exp) != n:
                     raise ValueError(f"exponent {exp} has length {len(exp)}, expected {n}")
-                if any(isinstance(e, bool) or not isinstance(e, int) for e in exp):
-                    raise TypeError(f"exponent entries must be integers, got {exp}")
+                if any(type(e) is not int for e in exp) or type(coeff) is not int:
+                    raise TypeError(f"exponent entries and coefficients must be ints, got {exp}: {coeff!r}")
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
                 if coeff != 0:
@@ -195,10 +197,9 @@ class SparsePolynomial:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> SparsePolynomial:
         try:
-            n, terms = data["n"], {tuple(t["exp"]): t["coeff"] for t in data["terms"]}
+            return cls(data["n"], {tuple(t["exp"]): t["coeff"] for t in data["terms"]})
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial JSON: {type(exc).__name__} {exc}") from None
-        return cls(n, terms)
 
     def __repr__(self) -> str:
         return f"SparsePolynomial({self.n}, {dict(self.canonical_terms())!r})"

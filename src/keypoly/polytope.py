@@ -18,9 +18,8 @@ Greedy vertices inside the hull make h submodular, and a submodular h
 has exactly the greedy vertices as the vertices of its H-polytope, so
 the checks prove that the hull equals the H-polytope.
 ``lattice_points`` then enumerates the H-polytope coordinate by
-coordinate, each coordinate over the interval its prefix leaves open,
-and ``polytope_equal`` of two certified hulls compares their support
-values.  When a check fails, ``support`` is None and both fall
+coordinate, each coordinate over the interval its prefix leaves open.
+When a check fails, ``support`` is None and ``lattice_points`` falls
 back to the LP below; which path runs depends only on the generators.
 
 ``newton_lattice_points`` needs no certificate when the answer is the
@@ -93,7 +92,6 @@ __all__ = [
     "newton_lattice_points",
     "snp_check",
     "polytope_subset",
-    "polytope_equal",
 ]
 
 
@@ -507,15 +505,3 @@ def polytope_subset(p: VPolytope, q: VPolytope) -> bool:
     if q._symmetric:
         points = dict.fromkeys(tuple(sorted(g)) for g in points)
     return all(contains(q, g) for g in points)
-
-
-def polytope_equal(p: VPolytope, q: VPolytope) -> bool:
-    """Whether the two hulls coincide.
-
-    Two certified hulls are their H-polytopes, so they are equal iff
-    their support values are; otherwise by double generator-wise
-    inclusion.
-    """
-    if p.n == q.n and p.support is not None and q.support is not None:
-        return p.support == q.support
-    return polytope_subset(p, q) and polytope_subset(q, p)

@@ -9,7 +9,7 @@ that the underlying theory says coincide:
 * ``aa``       weight sets of all fillings vs column-sorted fillings
 * ``rado``     weakly increasing closures vs dominated rearrangements,
                and permutohedron inclusion vs dominance
-* ``bruhat``   Newton polytopes of permutations vs interval polytopes
+* ``bruhat``   key exponents vs interval polytope lattice points
 
 ``kk`` and ``ccc`` get their sets as columnwise sumsets (``lower_monomials``,
 ``weight_set``) without building any diagram or filling; ``aa`` compares
@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 from operator import itemgetter
 
-from .bruhat import longest_element, verify_qww0
+from .bruhat import verify_qww0
 from .diagram import Diagram, lower_monomials, skyline
 from .filling import enumerate_fillings, enumerate_sorted_fillings, weight, weight_set
 from .moves import _partitions, class_closures, dominance_leq, dominated_rearrangements
@@ -269,7 +269,7 @@ def suite_bruhat(n_max: int) -> SuiteResult:
 
     return _run_suite(
         "bruhat",
-        f"Newton polytope of a permutation == interval polytope up to {longest_element(n_max)}",
+        f"key exponents of w == lattice points of conv [w, w0], for w in S_1..S_{n_max}",
         run(),
     )
 
@@ -290,6 +290,9 @@ SUITE_NAMES = tuple(_SUITES)
 def run_verification(
     n_max: int, part_max: int, suite_names: tuple[str, ...] = SUITE_NAMES
 ) -> VerificationReport:
+    for name, size, least in (("n_max", n_max, 1), ("part_max", part_max, 0)):
+        if type(size) is not int or size < least:
+            raise ValueError(f"{name} must be an int >= {least}, got {size!r}")
     unknown = [name for name in suite_names if name not in _SUITES]
     if unknown:
         raise ValueError(f"unknown suite {unknown[0]!r}; known: {SUITE_NAMES}")

@@ -19,9 +19,8 @@ from keypoly.bruhat import (
     verify_qww0,
 )
 from keypoly.moves import closure
-from keypoly.polytope import lattice_points, polytope_equal
 from keypoly.polynomial import exponent_vectors, key_polynomial
-from keypoly.polytope import VPolytope
+from keypoly.polytope import VPolytope, lattice_points
 
 
 def bruhat_leq_oracle(n):
@@ -109,7 +108,7 @@ class TestIntervalPolytope:
         n = 3
         p = interval_polytope(tuple(range(1, n + 1)), longest_element(n))
         q = VPolytope.from_points(n, set(permutations(range(1, n + 1))))
-        assert polytope_equal(p, q)
+        assert lattice_points(p) == lattice_points(q) == set(permutations((1, 2, 3))) | {(2, 2, 2)}
 
 
 class TestQww0:
@@ -137,5 +136,6 @@ class TestQww0:
 class TestNewtonEqualsInterval:
     def test_newton_generators(self):
         w = (1, 3, 2)
-        newton = VPolytope.from_points(3, exponent_vectors(key_polynomial(w)))
-        assert polytope_equal(newton, interval_polytope(w, (3, 2, 1)))
+        exps = exponent_vectors(key_polynomial(w))
+        newton = VPolytope.from_points(3, exps)
+        assert lattice_points(newton) == lattice_points(interval_polytope(w, (3, 2, 1))) == exps

@@ -277,6 +277,12 @@ class TestVerify:
         assert "--parts beyond 5 needs --force" in err
         assert out == "" and not out_path.exists()
 
+    @pytest.mark.parametrize("sizes", [["--n", "0"], ["--parts", "-1"], ["--n", "-2", "--parts", "2"]])
+    def test_sizes_that_check_nothing_exit_2(self, tmp_path, capsys, sizes):
+        code, out, err = run(capsys, ["verify", *sizes, "--out", str(tmp_path / "r.json")])
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "must be an int >=" in err
+
     def test_unwritable_out_fails_before_the_sweep(self, tmp_path, capsys, no_sweep):
         out_path = tmp_path / "missing" / "r.json"
         code, out, err = run(capsys, ["verify", "--n", "6", "--force", "--out", str(out_path)])
@@ -349,6 +355,13 @@ class TestVerify:
         (Move.from_json_dict, {"kind": "T", "i": True, "j": 2}, "must be ints"),
         (MoveChain.from_json_dict, {"start": ["a", 2.5], "moves": []}, "must be ints"),
         (MoveChain.from_json_dict, {"start": [True, 2], "moves": []}, "must be ints"),
+        (SparsePolynomial.from_json_dict, {"n": 2, "terms": [{"exp": ["a", 0], "coeff": 1}]}, "must be ints"),
+        (SparsePolynomial.from_json_dict, {"n": "2", "terms": []}, "variable count must be an int"),
+        (SparsePolynomial.from_json_dict, {"n": 2.0, "terms": []}, "variable count must be an int"),
+        (SparsePolynomial.from_json_dict, {"n": True, "terms": []}, "variable count must be an int"),
+        (SparsePolynomial.from_json_dict, {"n": 1, "terms": [{"exp": [1], "coeff": 1.5}]}, "coefficients must be ints"),
+        (SparsePolynomial.from_json_dict, {"n": 1, "terms": [{"exp": [1], "coeff": "x"}]}, "coefficients must be ints"),
+        (SparsePolynomial.from_json_dict, {"n": 1, "terms": [{"exp": [1], "coeff": True}]}, "coefficients must be ints"),
     ],
 )
 def test_json_readers_refuse_malformed_data(reader, data, message):

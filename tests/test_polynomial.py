@@ -170,6 +170,14 @@ class TestSparsePolynomial:
                 SparsePolynomial(2, {exp: 1})
         assert SparsePolynomial(2, {(1, 0): 1}).to_json_dict()["terms"] == [{"exp": [1, 0], "coeff": 1}]
 
+    def test_non_int_variable_count_or_coefficient_rejected(self):
+        for n in (2.0, True, "2"):
+            with pytest.raises(TypeError, match="variable count"):
+                SparsePolynomial(n, {})
+        for coeff in (1.5, "x", True):
+            with pytest.raises(TypeError, match="coefficients must be ints"):
+                SparsePolynomial(2, {(1, 0): coeff})
+
     def test_terms_are_read_only(self):
         before = dict(key_polynomial((0, 1)).terms)
         with pytest.raises(TypeError):

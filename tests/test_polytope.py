@@ -48,7 +48,6 @@ from keypoly.polytope import (
     lattice_points,
     newton_lattice_points,
     newton_polytope,
-    polytope_equal,
     polytope_subset,
     snp_check,
 )
@@ -125,8 +124,8 @@ def _reference_pivot(tableau, obj, row, col):
 
 
 def _uncertified(monkeypatch):
-    """Make every hull uncertified, so that ``lattice_points`` and
-    ``polytope_equal`` take the LP fallback."""
+    """Make every hull uncertified, so that ``lattice_points`` takes the
+    LP fallback."""
     monkeypatch.setattr(VPolytope, "support", property(lambda self: None))
 
 
@@ -135,16 +134,11 @@ def lp_only(monkeypatch):
     _uncertified(monkeypatch)
 
 
-def via_lp(fn, *args):
-    """``fn(*args)`` with every hull uncertified, i.e. through the LP."""
-    with pytest.MonkeyPatch.context() as mp:
-        _uncertified(mp)
-        return fn(*args)
-
-
 def lp_lattice_points(p):
     """``lattice_points`` through the LP scan, as for an uncertified hull."""
-    return via_lp(lattice_points, p)
+    with pytest.MonkeyPatch.context() as mp:
+        _uncertified(mp)
+        return lattice_points(p)
 
 
 def _sweep(n_max, part_max):
@@ -376,21 +370,11 @@ class TestNewtonLatticePoints:
 
 
 class TestPolytopeEqual:
-    def test_identical(self):
-        p = VPolytope.from_points(2, [(0, 0), (1, 1)])
-        assert polytope_equal(p, p)
-
-    def test_redundant_generator(self):
-        a = VPolytope.from_points(1, [(0,), (2,)])
-        b = VPolytope.from_points(1, [(0,), (1,), (2,)])
-        assert polytope_equal(a, b)
-
     def test_strict_subset(self):
         a = VPolytope.from_points(2, [(0, 0), (1, 0)])
         b = VPolytope.from_points(2, [(0, 0), (2, 0)])
         assert polytope_subset(a, b)
         assert not polytope_subset(b, a)
-        assert not polytope_equal(a, b)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -816,9 +800,7 @@ class TestSupport:
 
         for name in ("contains", "_crash_basis", "_dual_restart"):
             monkeypatch.setattr(polytope, name, refuse)
-        assert lattice_points(p) == {(3, 2, 1), (3, 1, 2), (2, 3, 1), (2, 2, 2), (1, 3, 2)}
-        assert polytope_equal(p, q)
-        assert not polytope_equal(p, newton_polytope(key_polynomial((2, 3, 1))))
+        assert lattice_points(p) == lattice_points(q) == {(3, 2, 1), (3, 1, 2), (2, 3, 1), (2, 2, 2), (1, 3, 2)}
         assert "_crash" not in vars(p) and "_crash" not in vars(q)
 
     @_RANDOM
@@ -847,22 +829,6 @@ class TestSupport:
         p = VPolytope.from_points(n, points)
         assert p.support is not None
         assert lattice_points(p) == lp_lattice_points(p) == points
-
-    @_RANDOM
-    @given(simplex_sums(), simplex_sums())
-    def test_polytope_equal_matches_the_lp(self, first, second):
-        (n, points), (m, others) = first, second
-        p = VPolytope.from_points(n, points)
-        vertices = VPolytope.from_points(n, [v for v in points if not _between(v, points)])
-        assert polytope_equal(p, vertices) and via_lp(polytope_equal, p, vertices)
-        if n == m:
-            q = VPolytope.from_points(m, others)
-            assert polytope_equal(p, q) == via_lp(polytope_equal, p, q)
-
-
-def _between(v, points):
-    """Whether v is the midpoint of two other points of the set."""
-    return any(tuple(2 * a - b for a, b in zip(v, u)) in points for u in points if u != v)
 
 
 @st.composite

@@ -12,7 +12,7 @@ import textwrap
 import pytest
 import test_moves
 
-from keypoly import bruhat, moves, polytope, verify
+from keypoly import bruhat, filling, moves, polynomial, polytope, verify
 from keypoly.polynomial import SparsePolynomial
 
 
@@ -248,6 +248,66 @@ def test_bruhat_catches_verify_qww0_answering_false(monkeypatch):
         {"w": list(w), "equal": False}
         for w in [(1,), (1, 2), (2, 1), (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)]
     ]
+
+
+def test_bruhat_catches_a_key_missing_its_interior_exponent(monkeypatch):
+    # (2, 2, 2) is the one exponent of key((1, 2, 3)) inside the hull of
+    # the others, so the hull is unchanged; only its lattice points show
+    # the loss.
+    original = bruhat.key_polynomial
+
+    def faulty(alpha):
+        f = original(alpha)
+        if tuple(alpha) != (1, 2, 3):
+            return f
+        return SparsePolynomial(f.n, {e: c for e, c in f.terms.items() if e != (2, 2, 2)})
+
+    monkeypatch.setattr(bruhat, "key_polynomial", faulty)
+    result = verify.suite_bruhat(3)
+    assert not result.passed and result.checked == 1 + 2 + 6
+    assert result.failures == [{"w": [1, 2, 3], "equal": False}]
+
+
+def test_ccc_catches_a_flag_off_by_one(monkeypatch):
+    # Each value must now lie below its row, so a box in row 1 has no
+    # value and a skyline with one has no filling.
+    monkeypatch.setattr(
+        filling,
+        "_column_assignments",
+        _mutant(filling._column_assignments, "range(1, row + 1)", "range(1, row)"),
+    )
+    result = verify.suite_ccc(2, 1)
+    assert not result.passed and result.checked == 2 + 4
+    assert result.failures == [
+        {"alpha": list(alpha), "equal": False, "only_lhs": [], "only_rhs": [alpha]}
+        for alpha in [(1,), (0, 1), (1, 0), (1, 1)]
+    ]
+
+
+def test_key_suites_catch_a_pi_run_one_term_short(monkeypatch):
+    # pi_1 x^(a, b) with a >= b loses its last term, x^(b, a), so at
+    # n = 2 each key with an ascent lacks alpha itself.  The key memo is
+    # swapped for an empty one, so the faulty keys are computed, and
+    # dropped afterwards.
+    monkeypatch.setattr(polynomial, "_KEY_CACHE", {})
+    monkeypatch.setattr(
+        polynomial,
+        "_pi_packed",
+        _mutant(polynomial._pi_packed, "for _ in range(x - y + 1):", "for _ in range(x - y):"),
+    )
+    missed = [(0, 1), (0, 2), (1, 2)]
+    for suite, checked, extra in [
+        (verify.suite_kk, 11, {}),
+        (verify.suite_ccc, 11, {}),
+        (verify.suite_theorem11, 12, {"lattice_equal": True}),
+    ]:
+        result = suite(2, 2)
+        assert not result.passed and result.checked == checked
+        label = {"compared": "closure/exponents"} if extra else {}
+        assert result.failures == [
+            {"alpha": list(alpha), **label, "equal": False, "only_lhs": [alpha], "only_rhs": [], **extra}
+            for alpha in missed
+        ]
 
 
 # Faults that no suite catches yet.  Each row runs every suite at

@@ -1,5 +1,7 @@
 """Tests for the verify harness: suite dispatch and the n=5 sumset sweeps."""
 
+import re
+
 import pytest
 
 from keypoly.verify import SUITE_NAMES, run_verification, suite_ccc, suite_kk
@@ -16,6 +18,23 @@ def test_unknown_suite_raises_before_running_any(monkeypatch):
     monkeypatch.setattr("keypoly.verify.suite_kk", lambda *args: pytest.fail("kk ran"))
     with pytest.raises(ValueError, match="unknown suite 'nope'"):
         run_verification(1, 1, ("kk", "nope"))
+
+
+@pytest.mark.parametrize(
+    "n_max, part_max, message",
+    [
+        (3, -1, "part_max must be an int >= 0, got -1"),
+        (0, 3, "n_max must be an int >= 1, got 0"),
+        (-2, 2, "n_max must be an int >= 1, got -2"),
+        (2.0, 2, "n_max must be an int >= 1, got 2.0"),
+        (True, 2, "n_max must be an int >= 1, got True"),
+        (2, False, "part_max must be an int >= 0, got False"),
+    ],
+)
+def test_sizes_that_check_nothing_are_refused(monkeypatch, n_max, part_max, message):
+    monkeypatch.setattr("keypoly.verify.suite_kk", lambda *args: pytest.fail("kk ran"))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_verification(n_max, part_max)
 
 
 @pytest.mark.parametrize("suite", [suite_kk, suite_ccc])
