@@ -5,11 +5,19 @@ box in row i of column j is present exactly when i is in the j-th column
 set.  Column sets are kept as sorted tuples so that the columnwise order
 (equal sizes, k-th smallest elements compared entrywise) is a zip-compare
 and diagrams hash cheaply.
+
+``lower_monomials`` here and ``filling.weight_set`` are Minkowski sums
+over columns, computed by ``_indicator_sumset`` without building any
+diagram or filling.  A column's packed steps depend only on its rows and
+are built once per distinct column; packed sums are decoded by halves
+through shared digit tables.  This module keeps its own big-endian
+packing, apart from the key side's in ``polynomial``, so that the sums
+share no code with the keys they are checked against.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -146,26 +154,70 @@ def lower_monomials(d: Diagram) -> set[tuple[int, ...]]:
     """``{monomial_of_diagram(c) for c in enumerate_lower_diagrams(d)}``,
     built as the Minkowski sum over columns of the lower subsets' row
     indicators, since columns vary independently; no diagram is built."""
-    return _indicator_sumset(d.n, [lower_subsets(col, d.n) for col in d.columns])
+    return _indicator_sumset(d.n, d.columns, lower_subsets, d.n)
 
 
-def _indicator_sumset(n: int, columns: Sequence[Iterable[Sequence[int]]]) -> set[tuple[int, ...]]:
-    """Minkowski sum over columns of {indicator(s) for s in column}.
+# (subsets, args, rows, n, base) -> frozenset of one column's packed
+# indicators.  The subsets function is part of the key, so a replaced
+# ``lower_subsets`` or ``_column_assignments`` never reads another's steps.
+_STEPS: dict[tuple, frozenset[int]] = {}
+# (base, k) -> every k-digit tuple in base ``base``, at the index it encodes.
+_DIGITS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
+# The most entries a ``_DIGITS`` table may have: n <= 8 at base n + 1.
+_DIGITS_MAX = 10_000
+
+
+def _digit_table(base: int, k: int) -> tuple[tuple[int, ...], ...]:
+    table = _DIGITS.get((base, k))
+    if table is None:
+        table = _DIGITS[base, k] = tuple(product(range(base), repeat=k))
+    return table
+
+
+def _indicator_sumset(
+    n: int, columns: Sequence[Sequence[int]], subsets: Callable[..., Iterable[Sequence[int]]], *args
+) -> set[tuple[int, ...]]:
+    """Minkowski sum over the columns of {indicator(s) for s in
+    ``subsets(rows, *args)``}, rows running over ``columns``.
 
     Each s lists distinct indices in 1..n.  Vectors are packed into one
     int, coordinate i as the base-b digit of weight b**(n - i), so adding
     two vectors is one int addition.  With b one more than the number of
     columns no digit carries, since each column adds at most 1 to a
-    coordinate.  The sum is folded in column by column, deduplicating
-    after each, and unpacked to tuples once at the end.
+    coordinate.
+
+    A column's packed steps depend only on its rows, so each distinct
+    column's are built once, by the ``subsets`` the caller looked up, and
+    kept in ``_STEPS``.  Columns with one step add it to the start value;
+    the others are folded in, deduplicating after each, and an empty step
+    set makes the sum empty.  A packed sum is decoded by halves: its
+    quotient and remainder by b**(n - n//2) are its first n//2 digits and
+    its last n - n//2, each looked up in a shared ``_DIGITS`` table.  A
+    half with more than ``_DIGITS_MAX`` values is decoded digit by digit
+    instead.
     """
     base = len(columns) + 1
     place = [base ** (n - i) for i in range(1, n + 1)]
-    sums = {0}
-    for column in columns:
-        steps = {sum(place[i - 1] for i in s) for s in column}
+    start = 0
+    folded = []
+    for rows in columns:
+        key = (subsets, args, rows, n, base)
+        steps = _STEPS.get(key)
+        if steps is None:
+            steps = _STEPS[key] = frozenset(sum(place[i - 1] for i in s) for s in subsets(rows, *args))
+        if len(steps) == 1:
+            start += next(iter(steps))
+        else:
+            folded.append(steps)
+    sums = {start}
+    for steps in folded:
         sums = {total + step for total in sums for step in steps}
-    return {tuple(packed // p % base for p in place) for packed in sums}
+    low = n - n // 2
+    split = base**low
+    if split > _DIGITS_MAX:
+        return {tuple(packed // p % base for p in place) for packed in sums}
+    high, tail = _digit_table(base, n // 2), _digit_table(base, low)
+    return {high[packed // split] + tail[packed % split] for packed in sums}
 
 
 def monomial_of_diagram(c: Diagram) -> tuple[int, ...]:

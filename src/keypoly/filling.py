@@ -172,7 +172,7 @@ def weight_set(d: Diagram) -> set[tuple[int, ...]]:
     """``{weight(f) for f in enumerate_fillings(d)}``, built as the
     Minkowski sum over columns of the assignments' value-set indicators,
     since columns are filled independently; no filling is built."""
-    return _indicator_sumset(d.n, [_column_assignments(rows) for rows in d.columns])
+    return _indicator_sumset(d.n, d.columns, _column_assignments)
 
 
 def sort_columns(f: Filling) -> Filling:

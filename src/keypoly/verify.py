@@ -12,8 +12,12 @@ that the underlying theory says coincide:
 * ``bruhat``   key exponents vs interval polytope lattice points
 
 ``kk`` and ``ccc`` get their sets as columnwise sumsets (``lower_monomials``,
-``weight_set``) without building any diagram or filling; ``aa`` compares
-explicitly enumerated fillings.
+``weight_set``) without building any diagram or filling.  Each distinct
+column's steps are built once per process, keyed by the subsets function
+looked up at call time, so a replaced enumerator is never answered from
+another's steps.  ``aa`` compares explicitly enumerated fillings.  A zero
+key has no Newton polytope, so ``theorem11`` takes its lattice side to
+be empty and the closure side records the loss.
 
 ``theorem11`` and ``rado`` take their move closures from
 ``class_closures``, one (length, sum) class at a time, as bitmasks over
@@ -179,7 +183,9 @@ def suite_theorem11(n_max: int, part_max: int) -> SuiteResult:
             for alpha, differs in _closures(n, part_max):
                 key = key_polynomial(alpha)
                 exps = exponent_vectors(key)
-                points = newton_lattice_points(key)
+                # A zero key has no Newton polytope; its empty exponent
+                # set then fails the closure side with a record.
+                points = newton_lattice_points(key) if exps else set()
                 # "equal" and "only_*" describe the closure side; a lattice failure nests.
                 label = {"alpha": list(alpha), "compared": "closure/exponents"}
                 record = differs(label, exps)

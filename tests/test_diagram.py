@@ -9,8 +9,10 @@ from itertools import combinations, product
 
 import pytest
 
+from keypoly import diagram, filling
 from keypoly.diagram import (
     Diagram,
+    _indicator_sumset,
     diagram_leq,
     enumerate_lower_diagrams,
     lower_monomials,
@@ -223,3 +225,44 @@ class TestLowerMonomials:
     def test_full_grid_sends_every_coordinate_to_n(self):
         for n in range(1, 6):
             assert lower_monomials(Diagram.make(n, [range(1, n + 1)] * n)) == {(n,) * n}
+
+    @pytest.mark.parametrize("digits_max", [diagram._DIGITS_MAX, 0])
+    def test_edge_cases_by_both_decoders(self, sumset_edge_diagrams, monkeypatch, digits_max):
+        # With no digit table allowed, every sum is decoded digit by digit.
+        monkeypatch.setattr(diagram, "_DIGITS_MAX", digits_max)
+        for d in sumset_edge_diagrams:
+            assert lower_monomials(d) == self.enumerated(d), d.columns
+
+    def test_digit_tables_stay_within_their_bound(self, sumset_edge_diagrams):
+        # n = 9..11 would need tables of 10**5 to 12**6 entries.
+        for d in sumset_edge_diagrams:
+            lower_monomials(d)
+        assert all(len(table) <= diagram._DIGITS_MAX for table in diagram._DIGITS.values())
+
+    def test_more_columns_than_coordinates(self):
+        # Twelve columns of rows in 1..4 pack in base 13, and both halves
+        # of a packed sum still decode through digit tables.
+        n = 4
+        columns = [(1,), (2, 4), (), (3,), (1, 2), (4,), (2,), (), (1, 3), (3, 4), (4,), (2, 3)]
+        expected = {
+            tuple(sum(i in s for s in choice) for i in range(1, n + 1))
+            for choice in product(*[lower_subsets_oracle(col, n) for col in columns])
+        }
+        assert _indicator_sumset(n, columns, lower_subsets, n) == expected
+
+    def test_changing_an_answer_leaves_the_next_unchanged(self):
+        d = skyline((0, 2, 1))
+        expected = self.enumerated(d)
+        first = lower_monomials(d)
+        first.add((9, 9, 9))
+        assert lower_monomials(d) == expected
+        first.clear()
+        assert lower_monomials(d) == expected
+
+    def test_a_planted_column_assignments_leaves_it_unchanged(self, monkeypatch):
+        d = skyline((1, 2, 0, 1))
+        expected = self.enumerated(d)
+        assert lower_monomials(d) == expected
+        monkeypatch.setattr(filling, "_column_assignments", lambda rows: [])
+        assert filling.weight_set(d) == set()
+        assert lower_monomials(d) == expected

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keypoly.diagram import Diagram, skyline
+from keypoly import diagram, filling
+from keypoly.diagram import Diagram, lower_monomials, skyline
 from keypoly.filling import (
     Filling,
     descend_to_alpha,
@@ -241,6 +242,31 @@ class TestWeightSet:
     def test_full_grid_sends_every_coordinate_to_n(self):
         for n in range(1, 6):
             assert weight_set(Diagram.make(n, [range(1, n + 1)] * n)) == {(n,) * n}
+
+    @pytest.mark.parametrize("digits_max", [diagram._DIGITS_MAX, 0])
+    def test_edge_cases_by_both_decoders(self, sumset_edge_diagrams, monkeypatch, digits_max):
+        # With no digit table allowed, every sum is decoded digit by digit.
+        monkeypatch.setattr(diagram, "_DIGITS_MAX", digits_max)
+        for d in sumset_edge_diagrams:
+            assert weight_set(d) == self.enumerated(d), d.columns
+
+    def test_changing_an_answer_leaves_the_next_unchanged(self):
+        d = skyline((0, 2, 1))
+        expected = self.enumerated(d)
+        first = weight_set(d)
+        first.add((9, 9, 9))
+        assert weight_set(d) == expected
+        first.clear()
+        assert weight_set(d) == expected
+
+    def test_a_planted_lower_subsets_leaves_it_unchanged(self, monkeypatch):
+        d = skyline((1, 2, 0, 1))
+        expected = self.enumerated(d)
+        assert weight_set(d) == expected
+        for module in (diagram, filling):
+            monkeypatch.setattr(module, "lower_subsets", lambda s, n: [])
+        assert lower_monomials(d) == set()
+        assert weight_set(d) == expected
 
 
 class TestFillingWeightsMatchKeyExponents:

@@ -12,7 +12,7 @@ import textwrap
 import pytest
 import test_moves
 
-from keypoly import bruhat, filling, moves, polynomial, polytope, verify
+from keypoly import bruhat, diagram, filling, moves, polynomial, polytope, verify
 from keypoly.polynomial import SparsePolynomial
 
 
@@ -309,6 +309,71 @@ def test_key_suites_catch_a_pi_run_one_term_short(monkeypatch):
             for alpha in missed
         ]
 
+
+
+def test_theorem11_reports_a_zero_key(monkeypatch):
+    # At n = 3 the short pi run sends key((0, 0, 1)) and key((0, 1, 1))
+    # to zero.  A zero key has no Newton polytope, so its lattice side is
+    # the empty set, equal to its exponents, and only the closure side
+    # records the loss.
+    monkeypatch.setattr(polynomial, "_KEY_CACHE", {})
+    monkeypatch.setattr(
+        polynomial,
+        "_pi_packed",
+        _mutant(polynomial._pi_packed, "for _ in range(x - y + 1):", "for _ in range(x - y):"),
+    )
+    result = verify.suite_theorem11(3, 1)
+    assert not result.passed and result.checked == 2 + 4 + 8
+    assert result.failures == [
+        {
+            "alpha": list(alpha),
+            "compared": "closure/exponents",
+            "equal": False,
+            "only_lhs": only_lhs,
+            "only_rhs": [],
+            "lattice_equal": True,
+        }
+        for alpha, only_lhs in [
+            ((0, 1), [(0, 1)]),
+            ((0, 0, 1), [(0, 0, 1), (0, 1, 0), (1, 0, 0)]),
+            ((0, 1, 0), [(0, 1, 0)]),
+            ((0, 1, 1), [(0, 1, 1), (1, 0, 1), (1, 1, 0)]),
+            ((1, 0, 1), [(1, 0, 1)]),
+        ]
+    ]
+
+
+def test_sumset_suites_catch_their_enumerators_with_a_warm_step_memo(monkeypatch):
+    # kk and ccc keep each column's steps in a memo keyed by the subsets
+    # function, so a planted enumerator must not read the steps that the
+    # clean runs left there.
+    assert verify.suite_kk(2, 1).passed and verify.suite_ccc(2, 1).passed
+    monkeypatch.setattr(
+        filling,
+        "_column_assignments",
+        _mutant(filling._column_assignments, "range(1, row + 1)", "range(1, row)"),
+    )
+    result = verify.suite_ccc(2, 1)
+    assert not result.passed and result.checked == 2 + 4
+    assert result.failures == [
+        {"alpha": list(alpha), "equal": False, "only_lhs": [], "only_rhs": [alpha]}
+        for alpha in [(1,), (0, 1), (1, 0), (1, 1)]
+    ]
+    # Each r_k must now lie strictly below s_k, so a column holding row
+    # k in its k-th box has no lower subset and the sum is empty.
+    monkeypatch.setattr(
+        diagram,
+        "lower_subsets",
+        _mutant(diagram.lower_subsets, "bound + 1)", "bound)"),
+    )
+    result = verify.suite_kk(2, 1)
+    assert not result.passed and result.checked == 2 + 4
+    assert result.failures == [
+        {"alpha": [1], "equal": False, "only_lhs": [], "only_rhs": [(1,)]},
+        {"alpha": [0, 1], "equal": False, "only_lhs": [], "only_rhs": [(0, 1)]},
+        {"alpha": [1, 0], "equal": False, "only_lhs": [], "only_rhs": [(1, 0)]},
+        {"alpha": [1, 1], "equal": False, "only_lhs": [], "only_rhs": [(1, 1)]},
+    ]
 
 # Faults that no suite catches yet.  Each row runs every suite at
 # n = 4, parts = 4, and is a strict xfail: the suite that would catch it
