@@ -74,8 +74,7 @@ def _verify(args):
     for flag, value in (("--n", args.n_max), ("--parts", args.part_max)):
         if value > 5 and not args.force:
             raise ValueError(f"{flag} beyond 5 needs --force")
-    # A repeated --suite runs once, since the summary is keyed by suite name.
-    names = SUITE_NAMES if not args.suite or "all" in args.suite else tuple(dict.fromkeys(args.suite))
+    names = SUITE_NAMES if not args.suite or "all" in args.suite else tuple(args.suite)
     # Opening the report first fails on a bad --out before the sweep runs.
     with open(args.out, "w") as handle:
         report = run_verification(args.n_max, args.part_max, names)

@@ -96,6 +96,8 @@ class MoveChain:
     def __post_init__(self):
         if any(type(x) is not int for x in self.start):
             raise ValueError(f"move chain start entries must be ints, got {self.start}")
+        if not all(isinstance(mv, Move) for mv in self.moves):
+            raise ValueError(f"move chain moves must be Moves, got {self.moves}")
 
     def replay(self) -> tuple[int, ...]:
         """Apply the moves in order, checking every side condition.
@@ -122,7 +124,7 @@ class MoveChain:
 
 def apply_move(v: Sequence[int], mv: Move) -> tuple[int, ...]:
     """Apply one move, enforcing its side condition on v."""
-    vec = tuple(v)
+    vec = _int_vector(v)
     if mv.j > len(vec):
         raise ValueError(f"move index {mv.j} out of range for length {len(vec)}")
     a, b = vec[mv.i - 1], vec[mv.j - 1]
@@ -223,7 +225,7 @@ def _bfs_parents(alpha: tuple[int, ...]) -> dict[tuple[int, ...], _Step | None]:
 def _int_vector(v: Sequence[int]) -> tuple[int, ...]:
     """v as a tuple of ints.  Other entries, bools included, are refused:
     the search memo would answer (1.0, 2.0) or (True, 2) with the vectors
-    found from (1, 2)."""
+    found from (1, 2), and a move would carry them into its result."""
     vec = tuple(v)
     if any(isinstance(x, bool) or not isinstance(x, int) for x in vec):
         raise TypeError(f"vector entries must be integers, got {vec}")

@@ -7,10 +7,8 @@ indices are 1-based throughout the public API: ``divided_difference(f, 2)``
 acts on the pair (x_2, x_3).  The divided difference is expanded in closed
 form, one monomial at a time.
 
-Polynomials are immutable: ``terms`` is a read-only view, so a polynomial
-handed out by the key-polynomial memo cannot be changed by its caller.
-Arithmetic on valid polynomials builds its results without revalidating
-every term.
+Polynomials are immutable: ``terms`` is a read-only view.  Arithmetic on
+valid polynomials builds its results without revalidating every term.
 
 The module also provides the key polynomial of a composition, computed by
 the standard recursion: a weakly decreasing alpha gives the monomial
@@ -22,13 +20,11 @@ maps each packed monomial to an arithmetic run of packed monomials
 without building x_i * f or any tuple.  Only the answer is unpacked.
 ``demazure`` runs the same step on a packed copy of its argument.
 
-The key memo keeps one form per composition: the packed terms of an
-intermediate of the recursion that no caller has asked for, and the
-``SparsePolynomial`` once ``key_polynomial`` has handed it out.  The
-recursion packs a handed-out key again when a longer chain passes
-through it.  The keys handed out share their exponent tuples through a
-second memo from packed exponent to tuple, so a sweep over many
-compositions builds each exponent tuple once.
+The key memo holds the packed terms of every composition on a chain, so
+a longer chain stops at the first one computed before.  Each call
+unpacks a new polynomial from it; the polynomials share their exponent
+tuples through a second memo from packed exponent to tuple, so a sweep
+over many compositions builds each exponent tuple once.
 
 >>> key_polynomial((0, 1)) == SparsePolynomial(2, {(1, 0): 1, (0, 1): 1})
 True
@@ -327,10 +323,8 @@ def _pi_packed(terms: dict[int, int], low: int, base: int) -> dict[int, int]:
     return {e: c for e, c in out.items() if c}
 
 
-# alpha -> the key of alpha, in one form: the SparsePolynomial once
-# key_polynomial has handed it out, else the packed terms (base
-# max(alpha) + 1) of an intermediate of the pi_i recursion.
-_KEY_CACHE: dict[tuple[int, ...], SparsePolynomial | dict[int, int]] = {}
+# alpha -> the packed terms (base max(alpha) + 1) of the key of alpha.
+_KEY_CACHE: dict[tuple[int, ...], dict[int, int]] = {}
 
 # (base, n) -> packed exponent -> its tuple, for every exponent of a key
 # handed out so far; those keys share these tuples.
@@ -348,28 +342,22 @@ def key_polynomial(alpha: Sequence[int]) -> SparsePolynomial:
     a = tuple(alpha)
     if any(isinstance(p, bool) or not isinstance(p, int) or p < 0 for p in a):
         raise ValueError(f"composition parts must be nonnegative integers, got {a}")
-    cached = _KEY_CACHE.get(a)
-    if isinstance(cached, SparsePolynomial):
-        return cached
     n = len(a)
     base = max(a, default=0) + 1
     known = _KEY_EXPONENTS.setdefault((base, n), {})
-    result = SparsePolynomial._unchecked(n, _unpack_terms(_packed_key(a, base), base, n, known))
-    _KEY_CACHE[a] = result
-    return result
+    return SparsePolynomial._unchecked(n, _unpack_terms(_packed_key(a, base), base, n, known))
 
 
 def _packed_key(a: tuple[int, ...], base: int) -> dict[int, int]:
     """The packed terms of key(a).  Walks down the chain of leftmost
     ascents to a memo entry or a weakly decreasing composition, then
-    applies pi_i on the way back up, memoizing each intermediate packed.
-    Every composition on the chain rearranges a, so they all share one
+    applies pi_i on the way back up, memoizing each step.  Every
+    composition on the chain rearranges a, so they all share one
     base."""
     chain = []
     while True:
-        cached = _KEY_CACHE.get(a)
-        if cached is not None:
-            terms = cached if isinstance(cached, dict) else _pack_terms(cached._terms, base)
+        terms = _KEY_CACHE.get(a)
+        if terms is not None:
             break
         k = next((k for k in range(len(a) - 1) if a[k] < a[k + 1]), None)
         if k is None:

@@ -299,11 +299,14 @@ def run_verification(
     for name, size, least in (("n_max", n_max, 1), ("part_max", part_max, 0)):
         if type(size) is not int or size < least:
             raise ValueError(f"{name} must be an int >= {least}, got {size!r}")
+    if not suite_names:
+        raise ValueError("no suite to run")
     unknown = [name for name in suite_names if name not in _SUITES]
     if unknown:
         raise ValueError(f"unknown suite {unknown[0]!r}; known: {SUITE_NAMES}")
     start = time.perf_counter()
-    results = [_SUITES[name](n_max, part_max) for name in suite_names]
+    # A repeated name runs once, in first-seen order.
+    results = [_SUITES[name](n_max, part_max) for name in dict.fromkeys(suite_names)]
     elapsed = time.perf_counter() - start
     return VerificationReport(
         n_max=n_max,

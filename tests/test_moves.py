@@ -77,6 +77,8 @@ class TestMove:
             Move("X", 1, 2)
         with pytest.raises(ValueError):
             apply_move((1, 2), Move("T", 1, 3))
+        with pytest.raises(ValueError):
+            MoveChain((0, 2), ("x",))
 
     def test_json_round_trip(self):
         chain = MoveChain((1, 3, 2), (Move("M", 1, 2),))
@@ -142,9 +144,11 @@ class TestClosure:
 
     def test_non_integer_entries_rejected(self):
         closure((1, 2))
-        for call in (closure, closure_order, lambda v: leq_kappa((2, 1), v)):
-            with pytest.raises(TypeError):
-                call((1.0, 2.0))
+        calls = (closure, closure_order, lambda v: leq_kappa((2, 1), v), lambda v: apply_move(v, Move("T", 1, 2)))
+        for call in calls:
+            for v in ((1.0, 2.0), (True, 2)):
+                with pytest.raises(TypeError):
+                    call(v)
 
     def test_non_integer_beta_rejected(self):
         """A float or bool beta would hash equal to an int vector of the

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keypoly import polynomial
+from keypoly import polynomial, verify
 from keypoly.polynomial import (
     SparsePolynomial,
     demazure,
@@ -397,22 +397,30 @@ class TestKeyPolynomial:
 
     def test_intermediates_of_a_cold_key(self):
         polynomial._KEY_CACHE.clear()
-        top = tuple(range(7))
-        key_polynomial(top)
-        handed_out = [a for a, v in polynomial._KEY_CACHE.items() if isinstance(v, SparsePolynomial)]
-        assert len(polynomial._KEY_CACHE) == 22 and handed_out == [top]
+        key_polynomial(tuple(range(7)))
+        assert len(polynomial._KEY_CACHE) == 22
+        # the memo holds packed terms only, never a polynomial handed out
+        for terms in polynomial._KEY_CACHE.values():
+            assert type(terms) is dict
+            assert all(type(e) is int and type(c) is int for e, c in terms.items())
         below = (5, 4, 3, 2, 1, 0, 6)  # 6 steps above the partition, 429 terms
         key = key_polynomial(below)
         assert key == reference_key(below, "leftmost", {})
-        assert key_polynomial(below) is key
+        again = key_polynomial(below)
+        assert again == key and again is not key and again.terms is not key.terms
         with pytest.raises(TypeError):
             key.terms[below] = 2
         assert key.coefficient(below) == 1
-        # a chain through a handed-out key packs that key again
-        polynomial._KEY_CACHE.clear()
-        key_polynomial(below)
-        above = (4, 5, 3, 2, 1, 0, 6)
-        assert key_polynomial(above) == reference_key(above, "leftmost", {})
+
+    def test_no_chain_packs_a_key_again(self, monkeypatch):
+        # theorem11 sweeps each class in decreasing lex order, so nearly
+        # every key's chain steps onto a key asked for just before it.
+        packed = []
+        original = polynomial._pack_terms
+        monkeypatch.setattr(polynomial, "_KEY_CACHE", {})
+        monkeypatch.setattr(polynomial, "_pack_terms", lambda terms, base: packed.append(terms) or original(terms, base))
+        assert verify.suite_theorem11(3, 3).passed
+        assert packed == []
 
     def test_alpha_is_an_exponent_with_coefficient_one(self):
         for n in range(1, 5):

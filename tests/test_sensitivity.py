@@ -6,6 +6,7 @@ nothing about that layer.  The failure records are a report's only
 per-check content, so most tests pin them exactly.
 """
 
+import functools
 import inspect
 import textwrap
 
@@ -341,6 +342,102 @@ def test_theorem11_reports_a_zero_key(monkeypatch):
             ((1, 0, 1), [(1, 0, 1)]),
         ]
     ]
+
+
+def test_key_suites_catch_a_memo_step_stored_under_the_chain_bottom(monkeypatch):
+    # Each pi_i step is stored under the composition the chain stopped
+    # at, so after key((0, 1)) the memo answers (1, 0) with key((0, 1)).
+    # Run in order over one cold memo, each suite reads that wrong entry
+    # once; alone over a cold memo, theorem11 needs n = 3, parts = 2.
+    original = polynomial._packed_key
+
+    def plant():
+        monkeypatch.setattr(polynomial, "_KEY_CACHE", {})
+        monkeypatch.setattr(
+            polynomial, "_packed_key", _mutant(original, "_KEY_CACHE[above] = ", "_KEY_CACHE[a] = ")
+        )
+
+    plant()
+    report = verify.run_verification(2, 1, ("kk", "ccc", "theorem11", "bruhat"))
+    record = {"alpha": [1, 0], "equal": False, "only_lhs": [], "only_rhs": [(0, 1)]}
+    assert [(s.name, s.checked, s.failures) for s in report.suites] == [
+        ("kk", 6, [record]),
+        ("ccc", 6, [record]),
+        ("theorem11", 6, [{**record, "compared": "closure/exponents", "lattice_equal": True}]),
+        ("bruhat", 3, [{"w": [2, 1], "equal": False}]),
+    ]
+    plant()
+    result = verify.suite_theorem11(3, 2)
+    assert not result.passed and result.checked == 3 + 9 + 27
+    assert result.failures == [
+        {
+            "alpha": list(alpha),
+            "compared": "closure/exponents",
+            "equal": False,
+            "only_lhs": [],
+            "only_rhs": only_rhs,
+            "lattice_equal": True,
+        }
+        for alpha, only_rhs in [
+            ((0, 2, 1), [(0, 1, 2), (1, 0, 2)]),
+            ((1, 0, 2), [(0, 1, 2), (0, 2, 1)]),
+            ((1, 2, 0), [(0, 2, 1), (1, 1, 1), (2, 0, 1)]),
+        ]
+    ]
+
+
+def test_bruhat_catches_tableaux_without_their_last_prefix(monkeypatch):
+    # The interval [w, w0] then admits permutations that only agree with
+    # w0 on the shorter prefixes.  The tableaux of S_n are built once per
+    # process, so the planted ones go into a fresh cache.
+    monkeypatch.setattr(
+        bruhat,
+        "_tableau",
+        _mutant(bruhat._tableau, "range(1, len(w))", "range(1, len(w) - 1)"),
+    )
+    monkeypatch.setattr(bruhat, "_tableaux", functools.cache(bruhat._tableaux.__wrapped__))
+    result = verify.suite_bruhat(3)
+    assert not result.passed and result.checked == 1 + 2 + 6
+    assert result.failures == [{"w": list(w), "equal": False} for w in [(2, 1), (1, 3, 2), (2, 3, 1), (3, 2, 1)]]
+
+
+def test_rado_catches_dominance_off_by_one(monkeypatch):
+    # A prefix sum may now exceed lambda's by one.  Both of rado's sides
+    # read dominance_leq: the closure side through
+    # dominated_rearrangements, the inclusion side directly.
+    faulty = _mutant(moves.dominance_leq, "if acc_m > acc_l:", "if acc_m > acc_l + 1:")
+    monkeypatch.setattr(moves, "dominance_leq", faulty)
+    monkeypatch.setattr(verify, "dominance_leq", faulty)
+    result = verify.suite_rado(3, 2)
+    assert not result.passed and len(result.failures) == 124
+    closure = {"kind": "closure", "alpha": [1, 1, 2], "equal": False, "only_lhs": []}
+    inclusion = {"kind": "inclusion", "mu": [2, 0, 0], "lambda": [1, 1, 0], "subset": False, "dominance": True}
+    assert result.failures[:2] == [
+        {**closure, "only_rhs": [(0, 2, 2), (2, 0, 2), (2, 2, 0)]},
+        {**inclusion, "equal": False},
+    ]
+
+
+def test_sumset_suites_catch_a_single_step_column_replacing_the_start(monkeypatch):
+    # A column with one step sets the start value instead of adding to
+    # it, so each such column erases the ones before it.  filling holds
+    # its own binding of _indicator_sumset.
+    faulty = _mutant(diagram._indicator_sumset, "start += ", "start = ")
+    monkeypatch.setattr(diagram, "_indicator_sumset", faulty)
+    monkeypatch.setattr(filling, "_indicator_sumset", faulty)
+    for suite in (verify.suite_kk, verify.suite_ccc):
+        result = suite(2, 2)
+        assert not result.passed and result.checked == 11
+        assert result.failures == [
+            {"alpha": list(alpha), "equal": False, "only_lhs": [erased], "only_rhs": [alpha]}
+            for alpha, erased in [
+                ((1, 0), (0, 0)),
+                ((1, 1), (0, 0)),
+                ((2, 0), (1, 0)),
+                ((2, 1), (1, 0)),
+                ((2, 2), (1, 1)),
+            ]
+        ]
 
 
 def test_sumset_suites_catch_their_enumerators_with_a_warm_step_memo(monkeypatch):

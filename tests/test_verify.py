@@ -20,6 +20,16 @@ def test_unknown_suite_raises_before_running_any(monkeypatch):
         run_verification(1, 1, ("kk", "nope"))
 
 
+def test_an_empty_suite_tuple_is_refused():
+    with pytest.raises(ValueError, match="no suite to run"):
+        run_verification(2, 2, ())
+
+
+def test_a_repeated_suite_runs_once_in_first_seen_order():
+    report = run_verification(2, 2, ("aa", "kk", "aa", "kk"))
+    assert [s.name for s in report.suites] == ["aa", "kk"] and report.passed
+
+
 @pytest.mark.parametrize(
     "n_max, part_max, message",
     [
