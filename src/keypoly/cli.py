@@ -21,7 +21,7 @@ from .diagram import skyline
 from .filling import Filling, enumerate_fillings, enumerate_sorted_fillings, optimize
 from .moves import closure_order, leq_kappa
 from .polynomial import key_polynomial
-from .verify import SUITE_NAMES, run_verification
+from .verify import SUITE_NAMES, _check_run, run_verification
 
 __all__ = ["main", "console_main"]
 
@@ -75,6 +75,8 @@ def _verify(args):
         if value > 5 and not args.force:
             raise ValueError(f"{flag} beyond 5 needs --force")
     names = SUITE_NAMES if not args.suite or "all" in args.suite else tuple(args.suite)
+    # Checked before --out is opened, which would truncate a report there.
+    _check_run(args.n_max, args.part_max, names)
     # Opening the report first fails on a bad --out before the sweep runs.
     with open(args.out, "w") as handle:
         report = run_verification(args.n_max, args.part_max, names)

@@ -13,6 +13,12 @@ are built once per distinct column; packed sums are decoded by halves
 through shared digit tables.  This module keeps its own big-endian
 packing, apart from the key side's in ``polynomial``, so that the sums
 share no code with the keys they are checked against.
+
+``Diagram(...)`` and ``Diagram.make`` check every row they are given.
+``skyline`` checks its composition instead and hands columns that are
+valid by construction to the private ``Diagram._unchecked``, which does
+not check them again: the kk and ccc sweeps build a skyline for every
+composition they check.
 """
 
 from __future__ import annotations
@@ -50,6 +56,16 @@ class Diagram:
                 raise ValueError(f"diagram rows must be ints in 1..{self.n}, got column {col}")
             if any(col[k] >= col[k + 1] for k in range(len(col) - 1)):
                 raise ValueError(f"column {col} is not strictly increasing")
+
+    @classmethod
+    def _unchecked(cls, n: int, columns: tuple[tuple[int, ...], ...]) -> Diagram:
+        """Wrap columns that already satisfy the invariants (n sorted
+        tuples of distinct int rows in 1..n) without checking them again.
+        For builders whose columns are valid by construction only."""
+        obj = cls.__new__(cls)
+        object.__setattr__(obj, "n", n)
+        object.__setattr__(obj, "columns", columns)
+        return obj
 
     @classmethod
     def make(cls, n: int, columns: Iterable[Iterable[int]]) -> Diagram:
@@ -91,7 +107,10 @@ def skyline(alpha: Sequence[int]) -> Diagram:
 
     Column j holds exactly the rows i with alpha_i >= j.  Parts larger
     than n = len(alpha) would place boxes outside the grid and are
-    rejected.
+    rejected.  Once alpha is checked, the columns are valid by
+    construction: one pass over the rows appends each row i, in
+    increasing order, to the columns j <= alpha_i, so the diagram is
+    built without ``Diagram``'s checks.
     """
     a = tuple(alpha)
     n = len(a)
@@ -99,8 +118,12 @@ def skyline(alpha: Sequence[int]) -> Diagram:
         raise ValueError(f"composition parts must be nonnegative ints, got {a}")
     if any(p > n for p in a):
         raise ValueError(f"part exceeding the grid size {n}: {a}")
-    cols = tuple(tuple(i for i in range(1, n + 1) if a[i - 1] >= j) for j in range(1, n + 1))
-    return Diagram(n, cols)
+    cols: list[list[int]] = [[] for _ in a]
+    for i, p in enumerate(a, 1):
+        for j, col in enumerate(cols, 1):
+            if p >= j:
+                col.append(i)
+    return Diagram._unchecked(n, tuple(map(tuple, cols)))
 
 
 def subset_leq(r: Iterable[int], s: Iterable[int]) -> bool:

@@ -279,9 +279,18 @@ class TestVerify:
 
     @pytest.mark.parametrize("sizes", [["--n", "0"], ["--parts", "-1"], ["--n", "-2", "--parts", "2"]])
     def test_sizes_that_check_nothing_exit_2(self, tmp_path, capsys, sizes):
-        code, out, err = run(capsys, ["verify", *sizes, "--out", str(tmp_path / "r.json")])
+        # The sizes are refused before --out is opened, so no file is
+        # created and a report already there keeps its bytes.
+        out_path = tmp_path / "r.json"
+        code, out, err = run(capsys, ["verify", *sizes, "--out", str(out_path)])
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "must be an int >=" in err
+        assert not out_path.exists()
+        old_report = b'{"passed": true}\n'
+        out_path.write_bytes(old_report)
+        code, out, err = run(capsys, ["verify", *sizes, "--out", str(out_path)])
+        assert code == 2 and out == "" and "must be an int >=" in err
+        assert out_path.read_bytes() == old_report
 
     def test_unwritable_out_fails_before_the_sweep(self, tmp_path, capsys, no_sweep):
         out_path = tmp_path / "missing" / "r.json"

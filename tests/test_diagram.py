@@ -72,13 +72,41 @@ class TestSkyline:
         assert d.box_count() == 6
 
     def test_part_exceeding_grid(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^part exceeding the grid size 3: \(4, 0, 0\)$"):
             skyline((4, 0, 0))
 
     @pytest.mark.parametrize("alpha", [(0.5, 1), (1.0, 0), (True, 0), (0, False), ("1", 0), (-1, 0)])
     def test_rejects_parts_that_are_not_nonnegative_ints(self, alpha):
-        with pytest.raises(ValueError, match="nonnegative ints"):
+        message = f"composition parts must be nonnegative ints, got {alpha}"
+        with pytest.raises(ValueError) as info:
             skyline(alpha)
+        assert str(info.value) == message
+
+    def test_trusted_build_matches_the_checked_one(self):
+        # skyline skips Diagram's row checks; the diagram it builds must
+        # be the one Diagram.make builds, with checks, from the definition
+        # (column j holds the rows i with alpha_i >= j).
+        for n in range(5):
+            for alpha in product(range(n + 1), repeat=n):
+                d = skyline(alpha)
+                columns = [[i for i in range(1, n + 1) if alpha[i - 1] >= j] for j in range(1, n + 1)]
+                checked = Diagram.make(n, columns)
+                assert d == checked and hash(d) == hash(checked)
+                assert type(d.columns) is tuple and all(type(col) is tuple for col in d.columns)
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (((2, 1), ()), "not strictly increasing"),
+            (((1, 1), ()), "not strictly increasing"),
+            (((3,), ()), "rows must be ints in 1..2"),
+            (((0,), ()), "rows must be ints in 1..2"),
+            (((1,),), "expected 2 columns"),
+        ],
+    )
+    def test_public_constructor_still_checks_rows(self, columns, message):
+        with pytest.raises(ValueError, match=message):
+            Diagram(2, columns)
 
 
 class TestSubsetLeq:

@@ -440,6 +440,23 @@ def test_sumset_suites_catch_a_single_step_column_replacing_the_start(monkeypatc
         ]
 
 
+def test_sumset_suites_catch_a_skyline_one_column_short(monkeypatch):
+    # Column j now holds the rows with alpha_i > j, so every row loses
+    # its last box; at parts <= 1 each skyline is empty and both sums
+    # hold only the zero vector.  No Diagram check sees the columns that
+    # skyline builds, so only the suites can.
+    monkeypatch.setattr(verify, "skyline", _mutant(diagram.skyline, "if p >= j:", "if p > j:"))
+    for suite in (verify.suite_kk, verify.suite_ccc):
+        result = suite(2, 1)
+        assert not result.passed and result.checked == 2 + 4
+        assert result.failures == [
+            {"alpha": [1], "equal": False, "only_lhs": [(0,)], "only_rhs": [(1,)]},
+            {"alpha": [0, 1], "equal": False, "only_lhs": [(0, 0)], "only_rhs": [(0, 1), (1, 0)]},
+            {"alpha": [1, 0], "equal": False, "only_lhs": [(0, 0)], "only_rhs": [(1, 0)]},
+            {"alpha": [1, 1], "equal": False, "only_lhs": [(0, 0)], "only_rhs": [(1, 1)]},
+        ]
+
+
 def test_sumset_suites_catch_their_enumerators_with_a_warm_step_memo(monkeypatch):
     # kk and ccc keep each column's steps in a memo keyed by the subsets
     # function, so a planted enumerator must not read the steps that the
