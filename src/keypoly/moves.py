@@ -14,7 +14,10 @@ terminates and computes the full reachable set.
 The search keys its visited set by each vector packed into one int (the
 digits of v - min(alpha) in base max(alpha) - min(alpha) + 1), so a move
 is one integer addition, and builds a tuple only for a newly found vector.
-It records each vector's parent as (parent, kind, i, j) in a tuple-keyed
+Each state is one scan over the pairs (i, j): T moves are taken at
+once, and M moves are listed and taken after the scan, in pair order, so
+vectors are found in the order of ``legal_moves`` (T before M).  It
+records each vector's parent as (parent, kind, i, j) in a tuple-keyed
 map; ``Move`` objects are built only for the path that ``leq_kappa``
 returns.  The most recent search is memoized, so a closure
 followed by reachability queries from the same alpha searches once;
@@ -165,12 +168,18 @@ def _bfs_parents(alpha: tuple[int, ...]) -> dict[tuple[int, ...], _Step | None]:
     """BFS from alpha; maps each reachable vector w to (parent, kind, i, j),
     the move that first reached it, and alpha to None.
 
-    Insertion order is discovery order.  Each state scans its T moves and
-    then its M moves, each in lex (i, j) order, which is the order of
-    legal_moves, so the order is deterministic.  Moves are not built or
-    revalidated here: a swap, and a unit transfer from an entry to one at
-    least 2 below it, both keep the sum and every coordinate inside
-    [min(alpha), max(alpha)].
+    Insertion order is discovery order.  Each state scans its pairs once,
+    in lex (i, j) order: a T move is taken at once, and an M move whose
+    target is not yet seen is listed and taken after the scan, in pair
+    order.  No move of the same state can reach that target meanwhile:
+    distinct pairs give distinct M targets, and a T target differs from
+    v in two entries by b - a each, an M target by 1 with b - a >= 2.  So
+    the T moves and then the M moves come in the order of legal_moves,
+    and the order is deterministic.
+
+    Moves are not built or revalidated here: a swap, and a unit transfer
+    from an entry to one at least 2 below it, both keep the sum and every
+    coordinate inside [min(alpha), max(alpha)].
 
     So v - min(alpha) packs into the int sum((v[k] - min(alpha)) * B**k)
     with B = max(alpha) - min(alpha) + 1, and the visited set holds these
@@ -190,35 +199,38 @@ def _bfs_parents(alpha: tuple[int, ...]) -> dict[tuple[int, ...], _Step | None]:
         start = start * base + x - lo
     parents: dict[tuple[int, ...], _Step | None] = {alpha: None}
     seen = {start}
+    add = seen.add
     queue = deque([(start, alpha)])
+    pop = queue.popleft
+    push = queue.append
     while queue:
-        e, v = queue.popleft()
+        e, v = pop()
+        transfers = []
         for i, j, mi, mj, d in pairs:
             a = v[i]
             b = v[j]
             if a < b:
                 f = e + (b - a) * d
                 if f not in seen:
-                    seen.add(f)
+                    add(f)
                     w = list(v)
                     w[i] = b
                     w[j] = a
                     w = tuple(w)
                     parents[w] = (v, "T", mi, mj)
-                    queue.append((f, w))
-        for i, j, mi, mj, d in pairs:
-            a = v[i]
-            b = v[j]
-            if a < b - 1:
-                f = e + d
-                if f not in seen:
-                    seen.add(f)
-                    w = list(v)
-                    w[i] = a + 1
-                    w[j] = b - 1
-                    w = tuple(w)
-                    parents[w] = (v, "M", mi, mj)
-                    queue.append((f, w))
+                    push((f, w))
+                if a < b - 1:
+                    f = e + d
+                    if f not in seen:
+                        transfers.append((f, i, j, mi, mj, a, b))
+        for f, i, j, mi, mj, a, b in transfers:
+            add(f)
+            w = list(v)
+            w[i] = a + 1
+            w[j] = b - 1
+            w = tuple(w)
+            parents[w] = (v, "M", mi, mj)
+            push((f, w))
     return parents
 
 

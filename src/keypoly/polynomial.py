@@ -300,10 +300,17 @@ def _pi_packed(terms: dict[int, int], low: int, base: int) -> dict[int, int]:
     minus the sum of x_i^(x+s) x_{i+1}^(y-s) over s = 1 .. y-x-1 when
     x + 1 < y.  Every new digit lies between x and y, so no digit carries
     and the packing stays valid; one unit moved from x_i to x_{i+1} adds
-    ``step`` to the packed exponent.  Output terms come in the order the
-    divided difference of x_i * f emits them.
+    ``step`` to the packed exponent, so each monomial's terms are one
+    ``range`` of packed exponents with that step.  When x >= y the run
+    starts at the monomial's own exponent, which is stored as the input's
+    key object, so a chain of memoized steps shares those ints.  Output
+    terms come in the order the divided difference of x_i * f emits them;
+    the terms that cancel to 0 are deleted in place, which keeps that
+    order.
     """
-    step = low * base - low
+    # base 1 holds only the constant term (x = y = 0, a one-term run),
+    # for which any nonzero step will do
+    step = low * base - low or 1
     out: dict[int, int] = {}
     get = out.get
     for e, c in terms.items():
@@ -311,16 +318,16 @@ def _pi_packed(terms: dict[int, int], low: int, base: int) -> dict[int, int]:
         x = q % base
         y = q // base % base
         if x >= y:
-            for _ in range(x - y + 1):
-                out[e] = get(e, 0) + c
-                e += step
+            out[e] = get(e, 0) + c
+            for f in range(e + step, e + (x - y + 1) * step, step):
+                out[f] = get(f, 0) + c
         else:
             c = -c
-            e -= (y - x - 1) * step
-            for _ in range(y - x - 1):
-                out[e] = get(e, 0) + c
-                e += step
-    return {e: c for e, c in out.items() if c}
+            for f in range(e - (y - x - 1) * step, e, step):
+                out[f] = get(f, 0) + c
+    for e in [e for e, c in out.items() if not c]:
+        del out[e]
+    return out
 
 
 # alpha -> the packed terms (base max(alpha) + 1) of the key of alpha.

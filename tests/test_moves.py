@@ -70,6 +70,11 @@ class TestMove:
         with pytest.raises(MoveError):
             apply_move((3, 1), Move("T", 1, 2))
 
+    def test_swap_of_equal_entries_is_refused(self):
+        # a T move needs a strict increase; on (2, 2) it would be a no-op
+        with pytest.raises(MoveError):
+            apply_move((2, 2), Move("T", 1, 2))
+
     def test_bad_indices(self):
         with pytest.raises(ValueError):
             Move("T", 2, 2)
@@ -121,8 +126,10 @@ class TestClosure:
         assert closure_order((0, 2)) == [(0, 2), (2, 0), (1, 1)]
 
     def test_kernel_matches_reference_search(self):
-        # identical discovery order and identical (parent, move) per vector
-        for alpha in SMALL_ALPHAS + [(0, 1, 2, 3, 4)]:
+        # identical discovery order and identical (parent, move) per vector;
+        # the length-6 vectors repeat entries and have gaps of 2 or more,
+        # so one state often has a T and an M move on the same pair
+        for alpha in SMALL_ALPHAS + [(0, 1, 2, 3, 4), (0, 3, 1, 3, 0, 2), (2, 0, 4, 1, 1, 3), (0, 1, 2, 3, 4, 5)]:
             expected = reference_bfs_parents(alpha)
             assert kernel_parents_as_moves(alpha) == list(expected.items()), alpha
             lo, hi, total = min(alpha), max(alpha), sum(alpha)

@@ -116,6 +116,29 @@ def reference_key(alpha, pivot, memo):
     return memo[alpha]
 
 
+def reference_pi_runs(terms, low, base):
+    """pi_i on packed terms one output term at a time, from a running
+    exponent, with the zero coefficients still in: dropping them gives
+    the terms ``_pi_packed`` must return, in the order it must keep."""
+    step = low * base - low
+    out = {}
+    for e, c in terms.items():
+        q = e // low
+        x = q % base
+        y = q // base % base
+        if x >= y:
+            for _ in range(x - y + 1):
+                out[e] = out.get(e, 0) + c
+                e += step
+        else:
+            c = -c
+            e -= (y - x - 1) * step
+            for _ in range(y - x - 1):
+                out[e] = out.get(e, 0) + c
+                e += step
+    return out
+
+
 def rand_poly(rng: random.Random, n=4, max_terms=10, max_deg=5) -> SparsePolynomial:
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -291,6 +314,64 @@ class TestDemazure:
             i = rng.randint(1, 2)
             h = demazure(f, i)
             assert demazure(h, i) == h
+
+
+class TestPiPacked:
+    @staticmethod
+    def cancelled(terms, low, base):
+        """Check ``_pi_packed`` against the reference, order included, and
+        return how many of the reference's terms cancelled to 0."""
+        runs = reference_pi_runs(terms, low, base)
+        got = polynomial._pi_packed(dict(terms), low, base)
+        assert list(got.items()) == [(e, c) for e, c in runs.items() if c], (terms, low, base)
+        assert 0 not in got.values()
+        return len(runs) - len(got)
+
+    def test_matches_the_stepped_loop_on_random_terms(self):
+        # the terms of one input all take the x >= y branch of pi_i, all
+        # the x + 1 < y branch, or either ("mixed")
+        rng = random.Random(23)
+        cancelled = {"x >= y": 0, "x + 1 < y": 0, "mixed": 0}
+        for _ in range(600):
+            branch = rng.choice(list(cancelled))
+            base, n = rng.randint(3, 5), rng.randint(2, 4)
+            k = rng.randrange(n - 1)
+            terms = {}
+            for _ in range(rng.randint(1, 12)):
+                digits = [rng.randrange(base) for _ in range(n)]
+                if branch == "x >= y":
+                    digits[k], digits[k + 1] = sorted(digits[k : k + 2], reverse=True)
+                elif branch == "x + 1 < y":
+                    digits[k] = rng.randrange(base - 2)
+                    digits[k + 1] = rng.randrange(digits[k] + 2, base)
+                terms[polynomial._pack(tuple(digits), base)] = rng.choice([-2, -1, 1, 2])
+            cancelled[branch] += self.cancelled(terms, base**k, base)
+        assert all(cancelled.values()), cancelled
+        # base 1: the constant term, a run of one
+        assert self.cancelled({0: 3}, 1, 1) == 0
+
+    def test_a_run_keeps_the_input_exponent_object(self):
+        # a chain of memoized steps then holds each exponent int once; a
+        # copy per step would add about a fifth to the memo, which holds
+        # 150 MB after the keys of composition_family(6, 4)
+        e = polynomial._pack((3, 1, 2, 5), 7)
+        assert e > 256  # not one of the ints the interpreter shares anyway
+        out = polynomial._pi_packed({e: 1}, 1, 7)
+        assert [f for f in out if f == e][0] is e
+
+    def test_matches_the_stepped_loop_on_a_cold_chain(self):
+        alpha = (0, 1, 2, 3, 4, 5)
+        base = 6
+        a, chain = alpha, []
+        while (k := next((k for k in range(5) if a[k] < a[k + 1]), None)) is not None:
+            chain.append(k)
+            a = a[:k] + (a[k + 1], a[k]) + a[k + 2 :]
+        terms = {polynomial._pack(a, base): 1}
+        for k in reversed(chain):
+            self.cancelled(terms, base**k, base)
+            terms = polynomial._pi_packed(terms, base**k, base)
+        assert len(chain) == 15
+        assert polynomial._unpack_terms(terms, base, 6, {}) == key_polynomial(alpha).terms
 
 
 class TestOperatorAlgebra:

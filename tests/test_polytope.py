@@ -666,6 +666,23 @@ class TestCertificates:
                 contains(VPolytope.from_points(2, generators), (Fraction(3, 2), Fraction(3, 2)))
             assert solved == [((3, 3), 2)], generators
 
+    def test_zero_scale_combination_is_refused(self):
+        """All-zero weights at scale 0 meet both sums for any point, so
+        only the positive scale keeps them from putting (5, 5) in the
+        triangle.  The check raises rather than asserts, so it holds
+        under ``-O`` too."""
+        triangle = ((0, 0), (2, 0), (0, 2))
+        with pytest.raises(polytope.CertificateError):
+            polytope._check_combination(triangle, (5, 5), 1, [0, 0, 0], 0)
+
+    def test_separation_on_the_hyperplane_is_refused(self):
+        """y = (-2, 1, 1) cuts along x + y = 2, which holds the triangle's
+        edge and the point (1, 1) on it: y . (1, 1, 1) = 0, so y does not
+        cut the point off."""
+        triangle = ((0, 0), (2, 0), (0, 2))
+        with pytest.raises(polytope.CertificateError):
+            polytope._check_separation(triangle, (1, 1), 1, [-2, 1, 1])
+
 
 def _is_root_direction(v):
     """Whether v is a nonzero multiple of some e_i - e_j."""

@@ -285,6 +285,15 @@ def test_ccc_catches_a_flag_off_by_one(monkeypatch):
     ]
 
 
+# pi_i's run for x >= y, from the monomial's own exponent through x - y
+# steps, made one term short: it starts at the exponent and stops a step
+# early, so a run with x == y is empty.
+_PI_RUN_ONE_SHORT = (
+    "out[e] = get(e, 0) + c\n            for f in range(e + step, e + (x - y + 1) * step, step):",
+    "for f in range(e, e + (x - y) * step, step):",
+)
+
+
 def test_key_suites_catch_a_pi_run_one_term_short(monkeypatch):
     # pi_1 x^(a, b) with a >= b loses its last term, x^(b, a), so at
     # n = 2 each key with an ascent lacks alpha itself.  The key memo is
@@ -294,7 +303,7 @@ def test_key_suites_catch_a_pi_run_one_term_short(monkeypatch):
     monkeypatch.setattr(
         polynomial,
         "_pi_packed",
-        _mutant(polynomial._pi_packed, "for _ in range(x - y + 1):", "for _ in range(x - y):"),
+        _mutant(polynomial._pi_packed, *_PI_RUN_ONE_SHORT),
     )
     missed = [(0, 1), (0, 2), (1, 2)]
     for suite, checked, extra in [
@@ -321,7 +330,7 @@ def test_theorem11_reports_a_zero_key(monkeypatch):
     monkeypatch.setattr(
         polynomial,
         "_pi_packed",
-        _mutant(polynomial._pi_packed, "for _ in range(x - y + 1):", "for _ in range(x - y):"),
+        _mutant(polynomial._pi_packed, *_PI_RUN_ONE_SHORT),
     )
     result = verify.suite_theorem11(3, 1)
     assert not result.passed and result.checked == 2 + 4 + 8
