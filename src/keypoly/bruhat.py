@@ -30,7 +30,11 @@ __all__ = [
 
 
 def check_permutation(w: Sequence[int]) -> tuple[int, ...]:
+    """w as a tuple; raises ValueError unless it is a permutation of
+    1..len(w) with int entries (True and 1.0 compare equal to 1)."""
     t = tuple(w)
+    if any(type(x) is not int for x in t):
+        raise ValueError(f"permutation entries must be ints, got {t}")
     if sorted(t) != list(range(1, len(t) + 1)):
         raise ValueError(f"not a permutation of 1..{len(t)}: {t}")
     return t

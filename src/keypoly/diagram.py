@@ -99,6 +99,9 @@ class Diagram:
         # TypeError on rows that do not compare, such as ["a", 1].
         if any(type(r) is not int for col in columns for r in col):
             raise ValueError(f"diagram rows must be ints, got {columns}")
+        # ``make`` would drop a repeated row.
+        if any(len(set(col)) != len(col) for col in columns):
+            raise ValueError(f"duplicate row in a diagram column, got {columns}")
         return cls.make(n, columns)
 
 

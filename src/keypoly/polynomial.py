@@ -192,8 +192,14 @@ class SparsePolynomial:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> SparsePolynomial:
+        """Inverse of ``to_json_dict``; raises ValueError on any other
+        shape, such as an exponent given twice."""
         try:
-            return cls(data["n"], {tuple(t["exp"]): t["coeff"] for t in data["terms"]})
+            n, terms = data["n"], [(tuple(t["exp"]), t["coeff"]) for t in data["terms"]]
+            by_exp = dict(terms)
+            if len(by_exp) != len(terms):
+                raise ValueError("duplicate exponent in polynomial terms")
+            return cls(n, by_exp)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial JSON: {type(exc).__name__} {exc}") from None
 

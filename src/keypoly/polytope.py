@@ -3,32 +3,35 @@
 A polytope is given as the convex hull of finitely many integer generator
 points (a lattice V-representation).
 
-Lattice points come LP-free whenever the hull certifies itself as a
-generalized permutahedron (Postnikov 2009), as every Newton polytope of a
-key polynomial does (Fink, Meszaros and St. Dizier 2018).  Its support
-values h(S) = max over generators g of sum_{i in S} g_i, one per subset S
-of the coordinates, describe the candidate H-polytope
+Lattice points come LP-free whenever the support values of the
+generators prove them, as for every Newton polytope of a key polynomial,
+a generalized permutahedron (Postnikov 2009) that is saturated (Fink,
+Meszaros and St. Dizier 2018).  The support values h(S) = max over
+generators g of sum_{i in S} g_i, one per subset S of the coordinates,
+cut out the H-polytope
 
-    sum_{i in S} x_i <= h(S)  for every S,   sum_i x_i = h([n]).
+    H(h):  sum_{i in S} x_i <= h(S)  for every S,   sum_i x_i = h([n]).
 
-``VPolytope.support`` returns h only after two exact checks: all
-generators share a coordinate sum, and each of the n! greedy vertices of
-h (Edmonds) is a generator.  Every generator satisfies the inequalities.
-Greedy vertices inside the hull make h submodular, and a submodular h
-has exactly the greedy vertices as the vertices of its H-polytope, so
-the checks prove that the hull equals the H-polytope.
-``lattice_points`` then enumerates the H-polytope coordinate by
-coordinate, each coordinate over the interval its prefix leaves open.
-When a check fails, ``support`` is None and ``lattice_points`` falls
-back to the LP below; which path runs depends only on the generators.
+``_proven_lattice_points`` enumerates the lattice points of H(h) once,
+coordinate by coordinate, each coordinate over the interval its prefix
+leaves open, and returns them when one of two proofs holds; otherwise it
+returns None.  Every generator meets the inequalities.
 
-``newton_lattice_points`` needs no certificate when the answer is the
-exponents G themselves.  When G shares a coordinate sum, G lies in the
-lattice points of its hull, and those lie in the lattice points of the
-H-polytope of G's support values, certified or not; so an H-polytope
-whose lattice points are G proves the Newton polytope saturated (when G
-does not, the H-polytope, all of one sum, cannot hold exactly G).  Only
-a miss builds the hull.
+- The sandwich.  When the generators G share a coordinate sum, G lies in
+  the lattice points of conv G, which lie in those of H(h), whether or
+  not h is submodular.  So when H(h) holds exactly the points G, the
+  hull is saturated with lattice points G.  (When G has two sums, H(h),
+  all of the largest one, cannot hold exactly G.)
+- The greedy certificate, tried only when the sandwich misses: G shares
+  a coordinate sum, and each of the n! greedy vertices of h (Edmonds) is
+  a generator.  Greedy vertices inside the hull make h submodular, and a
+  submodular h has exactly the greedy vertices as the vertices of H(h),
+  so the hull is H(h).
+
+``lattice_points`` and ``newton_lattice_points`` both ask this routine
+first.  When it returns None, ``lattice_points`` falls back to the LP
+below, and ``newton_lattice_points`` builds the hull for it; which path
+runs depends only on the generators.
 
 ``contains`` and ``polytope_subset`` (hence the ``rado`` suite) answer
 from LP certificates, never from support values: for a permutohedron h(S)
@@ -65,17 +68,17 @@ Every LP answer carries a certificate that is checked before it is
 returned.  A "yes" is a nonnegative integer combination of the
 generators that sums to the point; a "no" is an integer Farkas vector,
 an inequality that every generator satisfies and the point violates.
-The cheap answers in ``contains`` (a coordinate bound or common
-coordinate sum that the point breaks, or the point being a generator)
-are such certificates already.  A certificate that fails its check
-raises ``CertificateError``, which ``python -O`` does not strip.
+The cheap answers in ``contains`` (a coordinate bound that the point
+breaks, or the point being a generator) are such certificates already.
+A certificate that fails its check raises ``CertificateError``, which
+``python -O`` does not strip.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence, Set
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, permutations, product
@@ -157,28 +160,6 @@ class VPolytope:
         gens = self._generator_set
         return all(g[:i] + (g[i + 1], g[i]) + g[i + 2 :] in gens for g in gens for i in range(self.n - 1))
 
-    @cached_property
-    def support(self) -> tuple[int, ...] | None:
-        """The support values h(S) = max over generators g of
-        sum_{i in S} g_i, indexed by the bitmask S (bit i for coordinate
-        i + 1), when they certify that the hull is the generalized
-        permutahedron they cut out; otherwise None.
-
-        The certificate holds when the generators share a coordinate sum
-        and every greedy vertex of h is a generator.  That makes h
-        submodular, the hypothesis of Edmonds' theorem: the greedy vertex
-        v of an ordering that starts with S, then i, then j lies in the
-        hull, so h(S+j) >= v(S+j) = h(S) + h(S+i+j) - h(S+i).
-        """
-        if self._common_sum is None:
-            return None
-        h = _support_values(self.generators)
-        get = h.__getitem__
-        for upto, before in _greedy_chains(self.n):
-            if tuple(map(sub, map(get, upto), map(get, before))) not in self._generator_set:
-                return None
-        return h
-
 
 def _support_values(points: Collection[tuple[int, ...]]) -> tuple[int, ...]:
     """h(S) = max over points g of sum_{i in S} g_i for every bitmask S
@@ -207,6 +188,32 @@ def _greedy_chains(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...
     return tuple(chains)
 
 
+def _proven_lattice_points(n: int, generators: Set[tuple[int, ...]]) -> set[tuple[int, ...]] | None:
+    """The lattice points of the hull of the nonempty point set
+    generators, when the sandwich or the greedy certificate proves them
+    to be those of H(h) for the generators' support values h; otherwise
+    None.  When the sandwich holds, the answer is generators itself, so
+    a caller that compares it with its own exponent tuples matches them
+    by identity rather than by value.
+
+    The greedy certificate makes h submodular, the hypothesis of
+    Edmonds' theorem: the greedy vertex v of an ordering that starts with
+    S, then i, then j lies in the hull, so h(S+j) >= v(S+j) = h(S) +
+    h(S+i+j) - h(S+i).
+    """
+    h = _support_values(generators)
+    points = _support_lattice_points(n, h)
+    if points == generators:
+        return generators
+    if len({sum(g) for g in generators}) != 1:
+        return None
+    get = h.__getitem__
+    for upto, before in _greedy_chains(n):
+        if tuple(map(sub, map(get, upto), map(get, before))) not in generators:
+            return None
+    return points
+
+
 def newton_polytope(f: SparsePolynomial) -> VPolytope:
     """Convex hull of the exponent vectors of a nonzero polynomial."""
     if f.is_zero():
@@ -232,15 +239,13 @@ def contains(p: VPolytope, point: Sequence[numbers.Rational]) -> bool:
                 raise TypeError(f"coordinate {x!r} is not rational; use int or fractions.Fraction")
         den = math.lcm(*(x.denominator for x in point))
         num = tuple(x.numerator * (den // x.denominator) for x in point)
-    # Cheap exact rejections: the hull lies inside the coordinate box, and
-    # when all generators share a coordinate sum, inside that hyperplane.
+    # Cheap exact rejection: the hull lies inside the coordinate box.  A
+    # point off the hull's affine span, such as off the generators' common
+    # coordinate sum, is refused by a span equation of the crash basis.
     mins, maxs = p._box
     for k in range(p.n):
         if not mins[k] * den <= num[k] <= maxs[k] * den:
             return False
-    common = p._common_sum
-    if common is not None and sum(num) != common * den:
-        return False
     if den == 1 and num in p._generator_set:
         return True
     return _convex_feasible(p, num, den)
@@ -403,16 +408,15 @@ def _check_separation(
 def lattice_points(p: VPolytope) -> set[tuple[int, ...]]:
     """All integer points of the hull.
 
-    A certified hull (``p.support`` not None) is enumerated from its
-    H-representation, with no LP.  Otherwise candidates are drawn from
-    the per-coordinate min/max box, in lex order; when every generator
-    has the same coordinate sum, that sum fixes the last coordinate,
-    which must fall in its own range.  Each candidate is then settled by
-    ``contains``.
+    ``_proven_lattice_points`` answers first, with no LP.  When it
+    cannot, candidates are drawn from the per-coordinate min/max box, in
+    lex order; when every generator has the same coordinate sum, that sum
+    fixes the last coordinate, which must fall in its own range.  Each
+    candidate is then settled by ``contains``.
     """
-    h = p.support
-    if h is not None:
-        return _support_lattice_points(p.n, h)
+    points = _proven_lattice_points(p.n, set(p.generators))
+    if points is not None:
+        return points
     ranges = [range(lo, hi + 1) for lo, hi in zip(*p._box)]
     target = p._common_sum
     if target is None or not ranges:
@@ -466,25 +470,14 @@ def _support_lattice_points(n: int, h: Sequence[int]) -> set[tuple[int, ...]]:
 
 
 def newton_lattice_points(f: SparsePolynomial) -> set[tuple[int, ...]]:
-    """All integer points of the Newton polytope of a nonzero polynomial.
-
-    First by the sandwich.  Let G be the exponents and h their support
-    values.  Every g in G meets g(S) <= h(S), so G lies in the lattice
-    points of conv G, which lie in those of H(h), the points x with
-    x(S) <= h(S) for every S and sum(x) = h(all), whether or not h is
-    submodular.  (When G has two coordinate sums, conv G leaves that
-    hyperplane, but then H(h) misses the smaller sum, so it cannot
-    equal G.)  So when H(h) has exactly the lattice points G, so does
-    conv G: the Newton polytope is saturated, with no greedy-vertex check
-    and no LP.  Otherwise ``lattice_points`` of the Newton polytope
-    decides.
-    """
+    """All integer points of the Newton polytope of a nonzero polynomial:
+    ``_proven_lattice_points`` of the exponents, with no hull, and
+    ``lattice_points`` of the hull only when that returns None."""
     exps = f.exponents()
     if not exps:
         raise ValueError("the zero polynomial has no Newton polytope")
-    if _support_lattice_points(f.n, _support_values(exps)) == exps:
-        return exps
-    return lattice_points(newton_polytope(f))
+    points = _proven_lattice_points(f.n, exps)
+    return lattice_points(newton_polytope(f)) if points is None else points
 
 
 def snp_check(f: SparsePolynomial) -> bool:

@@ -27,13 +27,12 @@ lattice side to be empty and the closure side records the loss.
 the class; the other side is encoded into the same bits, and only a
 difference is decoded into a failure record.  The records of one length
 are reported after it, sorted by alpha, so in sweep order.
-``theorem11``'s lattice side is ``newton_lattice_points``, the sandwich:
-the exponents G, all of one coordinate sum, lie in the lattice points of
-their hull, which lie in those of the H-polytope of G's support values
-whether or not those values are certified.  So when that H-polytope
-holds exactly G, the Newton polytope is saturated with lattice points G,
-with no greedy-vertex check and no LP.  Only a miss falls back to
-``lattice_points`` of the hull, so a real failure is still found.
+``theorem11``'s lattice side is ``newton_lattice_points``: the lattice
+points of the H-polytope of the exponents' support values, when the
+sandwich (they are exactly the exponents) or, after a miss, the greedy
+certificate proves them those of the Newton polytope, with no hull and
+no LP.  Only when neither does is the hull built for the LP, so a real
+failure is still found.
 
 A run's work depends only on ``(n_max, part_max)``.  The composition
 suites sweep lengths n = 1..n_max with parts up to part_max (up to

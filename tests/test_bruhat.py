@@ -13,6 +13,7 @@ import pytest
 from keypoly.bruhat import (
     bruhat_interval,
     bruhat_leq,
+    check_permutation,
     interval_polytope,
     inversions,
     longest_element,
@@ -55,6 +56,16 @@ class TestBruhatLeq:
             bruhat_leq((1, 1, 2), (1, 2, 3))
         with pytest.raises(ValueError):
             bruhat_leq((1, 2), (1, 2, 3))
+        # True and 1.0 compare equal to 1, so only their type tells them apart.
+        for call in (
+            lambda: check_permutation((True, 2)),
+            lambda: check_permutation((1.0, 2.0)),
+            lambda: inversions((1.0, 2)),
+            lambda: bruhat_leq((1, 2), (2.0, 1)),
+            lambda: bruhat_interval((True, 2), (2, 1)),
+        ):
+            with pytest.raises(ValueError, match="must be ints"):
+                call()
 
     def test_agrees_with_cover_closure(self):
         for n in range(1, 6):

@@ -11,7 +11,7 @@ import pytest
 
 import keypoly
 from keypoly.cli import main
-from keypoly.diagram import skyline
+from keypoly.diagram import Diagram, skyline
 from keypoly.filling import Filling, enumerate_fillings, optimize, row_index_filling
 from keypoly.moves import Move, MoveChain
 from keypoly.polynomial import SparsePolynomial
@@ -371,6 +371,12 @@ class TestVerify:
         (SparsePolynomial.from_json_dict, {"n": 1, "terms": [{"exp": [1], "coeff": 1.5}]}, "coefficients must be ints"),
         (SparsePolynomial.from_json_dict, {"n": 1, "terms": [{"exp": [1], "coeff": "x"}]}, "coefficients must be ints"),
         (SparsePolynomial.from_json_dict, {"n": 1, "terms": [{"exp": [1], "coeff": True}]}, "coefficients must be ints"),
+        (
+            SparsePolynomial.from_json_dict,
+            {"n": 2, "terms": [{"exp": [1, 0], "coeff": 1}, {"exp": [1, 0], "coeff": 2}]},
+            "duplicate exponent",
+        ),
+        (Diagram.from_json_dict, {"n": 2, "columns": [[1, 1], []]}, "duplicate row"),
     ],
 )
 def test_json_readers_refuse_malformed_data(reader, data, message):

@@ -11,14 +11,14 @@ in a hull whose generator set is closed under permuting coordinates asks
 one point per orbit; its answers are compared with the scan of every
 generator by the reference, in the rado sweep and on random orbit hulls.
 
-The LP scan stays the oracle for the certified H-representation path of
-``lattice_points`` and for the sandwich of ``newton_lattice_points``:
-``lp_lattice_points`` forces the fallback, and they are compared on
-every Newton polytope of the theorem11 sweep at n <= 4, parts <= 4, and
-on random hulls.  Random simplices double as an
-independent oracle for ``support``: all their vertex pairs are edges, so
-one is a generalized permutahedron iff every edge is parallel to some
-e_i - e_j.
+The LP scan stays the oracle for ``_proven_lattice_points``, the
+sandwich and the greedy certificate behind both ``lattice_points`` and
+``newton_lattice_points``: ``lp_lattice_points`` forces the fallback,
+and they are compared on every Newton polytope of the theorem11 sweep at
+n <= 4, parts <= 4, and on random hulls.  Random simplices double as an
+independent oracle for the greedy certificate, asked with the sandwich
+made to miss: all their vertex pairs are edges, so one is a generalized
+permutahedron iff every edge is parallel to some e_i - e_j.
 """
 
 import contextlib
@@ -124,9 +124,9 @@ def _reference_pivot(tableau, obj, row, col):
 
 
 def _uncertified(monkeypatch):
-    """Make every hull uncertified, so that ``lattice_points`` takes the
-    LP fallback."""
-    monkeypatch.setattr(VPolytope, "support", property(lambda self: None))
+    """Make every hull unproven, so that ``lattice_points`` takes the LP
+    fallback."""
+    monkeypatch.setattr(polytope, "_proven_lattice_points", lambda n, generators: None)
 
 
 @pytest.fixture
@@ -135,10 +135,20 @@ def lp_only(monkeypatch):
 
 
 def lp_lattice_points(p):
-    """``lattice_points`` through the LP scan, as for an uncertified hull."""
+    """``lattice_points`` through the LP scan, as for an unproven hull."""
     with pytest.MonkeyPatch.context() as mp:
         _uncertified(mp)
         return lattice_points(p)
+
+
+def certified(p):
+    """Whether the greedy certificate proves the lattice points of p: the
+    answer of ``_proven_lattice_points`` with the sandwich made to miss,
+    by a point with a negative coordinate added to H(h)."""
+    real = polytope._support_lattice_points
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytope, "_support_lattice_points", lambda n, h: real(n, h) | {(-1,) * n})
+        return polytope._proven_lattice_points(p.n, p._generator_set) is not None
 
 
 def _sweep(n_max, part_max):
@@ -338,6 +348,14 @@ class TestNewtonLatticePoints:
         assert newton_lattice_points(key_polynomial((1, 3, 2))) == closure((1, 3, 2))
         assert calls == []
 
+    def test_certificate_answers_without_a_hull(self, monkeypatch):
+        # H(h) of x1^2 + x2^2 also holds (1, 1), so the sandwich misses,
+        # but both greedy vertices, (2, 0) and (0, 2), are exponents.
+        calls = self._spy(monkeypatch)
+        monkeypatch.setattr(polytope, "newton_polytope", lambda f: pytest.fail("a hull was built"))
+        assert newton_lattice_points(SparsePolynomial(2, {(2, 0): 1, (0, 2): 1})) == {(2, 0), (1, 1), (0, 2)}
+        assert calls == []
+
     def test_saturated_but_missed_by_the_sandwich(self, monkeypatch):
         # The segment from (2, 0, 0) to (0, 1, 1) has no lattice point
         # inside, but H(h) also holds (1, 1, 0) and (1, 0, 1).
@@ -489,16 +507,18 @@ _TAMPER_SCRIPT = textwrap.dedent(
 )
 
 
-# The same under ``python -O`` for the support certificate: a triangle in
-# x + y + z = 3 with no edge along any e_i - e_j is rejected, and its
-# lattice points still come out right, through the LP.
+# The same under ``python -O`` for the sandwich and the greedy
+# certificate: a triangle in x + y + z = 3 with no edge along any
+# e_i - e_j is proven by neither, and its lattice points still come out
+# right, through the LP.
 _REJECT_SCRIPT = textwrap.dedent(
     """
-    from keypoly.polytope import VPolytope, lattice_points
+    from keypoly.polytope import VPolytope, _proven_lattice_points, lattice_points
 
     triangle = VPolytope.from_points(3, [(2, 0, 1), (0, 1, 2), (1, 2, 0)])
-    if triangle.support is not None:
-        raise SystemExit(f"the triangle was certified with support {triangle.support}")
+    proven = _proven_lattice_points(3, triangle._generator_set)
+    if proven is not None:
+        raise SystemExit(f"the triangle was proven with lattice points {sorted(proven)}")
     points = lattice_points(triangle)
     if points != {(2, 0, 1), (0, 1, 2), (1, 2, 0), (1, 1, 1)}:
         raise SystemExit(f"wrong lattice points {sorted(points)}")
@@ -764,11 +784,14 @@ class TestSupport:
     def test_permutohedron_support_is_the_sum_of_largest_parts(self):
         lam = (4, 2, 1, 0)
         p = VPolytope.from_points(4, set(permutations(lam)))
-        assert p.support == tuple(sum(lam[: bin(s).count("1")]) for s in range(16))
+        assert polytope._support_values(p.generators) == tuple(sum(lam[: bin(s).count("1")]) for s in range(16))
+        assert certified(p)
 
     def test_zero_and_one_dimensional(self):
-        assert VPolytope.from_points(0, [()]).support == (0,)
-        assert VPolytope.from_points(1, [(3,)]).support == (0, 3)
+        assert polytope._support_values({()}) == (0,)
+        assert polytope._support_values({(3,)}) == (0, 3)
+        assert polytope._proven_lattice_points(0, {()}) == {()}
+        assert polytope._proven_lattice_points(1, {(3,)}) == {(3,)}
         assert lattice_points(VPolytope.from_points(1, [(3,)])) == {(3,)}
 
     @pytest.mark.parametrize(
@@ -782,24 +805,29 @@ class TestSupport:
             # A permutohedron without its greedy vertex (0, 1, 2).
             [q for q in permutations((2, 1, 0)) if q != (0, 1, 2)],
             # h is not submodular: h(13) + h(23) = 2 < h(123) + h(3) = 3.
+            # The segment has no lattice point inside, so the sandwich
+            # answers without the certificate.
             [(1, 1, 0, 0), (0, 0, 1, 1)],
         ],
     )
     def test_uncertified_hulls_fall_back_to_the_lp(self, generators):
         p = VPolytope.from_points(len(generators[0]), generators)
-        assert p.support is None
+        assert not certified(p)
+        proven = polytope._proven_lattice_points(p.n, p._generator_set)
+        assert proven is None or proven == p._generator_set
         box = product(*[range(lo, hi + 1) for lo, hi in zip(*p._box)])
         assert lattice_points(p) == {c for c in box if reference_feasible(p.generators, c)}
 
     def test_newton_lattice_points_match_the_lp_scan(self):
-        """All 780 theorem11 polytopes at n <= 4, parts <= 4 are certified,
-        and their H-path lattice points equal the LP scan's and the
-        exponents; at n <= 3, parts <= 3 every box candidate is also
-        settled by the Fraction reference simplex."""
+        """All 780 theorem11 polytopes at n <= 4, parts <= 4 are proven,
+        by the sandwich and by the greedy certificate alone, and their
+        H-path lattice points equal the LP scan's and the exponents; at
+        n <= 3, parts <= 3 every box candidate is also settled by the
+        Fraction reference simplex."""
         for alpha in _sweep(4, 4):
             exps = exponent_vectors(key_polynomial(alpha))
             p = VPolytope.from_points(len(alpha), exps)
-            assert p.support is not None, alpha
+            assert polytope._proven_lattice_points(p.n, exps) == exps and certified(p), alpha
             points = lattice_points(p)
             assert points == lp_lattice_points(p) == newton_lattice_points(key_polynomial(alpha)) == exps, alpha
             if len(alpha) <= 3 and max(alpha) <= 3:
@@ -820,12 +848,17 @@ class TestSupport:
         assert lattice_points(p) == lattice_points(q) == {(3, 2, 1), (3, 1, 2), (2, 3, 1), (2, 2, 2), (1, 3, 2)}
         assert "_crash" not in vars(p) and "_crash" not in vars(q)
 
+    def test_saturated_hulls_skip_the_greedy_check(self, monkeypatch):
+        monkeypatch.setattr(polytope, "_greedy_chains", lambda n: pytest.fail("the greedy check ran"))
+        points = lattice_points(newton_polytope(key_polynomial((1, 3, 2))))
+        assert points == {(3, 2, 1), (3, 1, 2), (2, 3, 1), (2, 2, 2), (1, 3, 2)}
+
     @_RANDOM
     @given(simplices())
     def test_simplex_certified_iff_every_edge_is_a_root_direction(self, vertices):
         p = VPolytope.from_points(len(vertices[0]), vertices)
         roots = all(_is_root_direction([a - b for a, b in zip(u, v)]) for u, v in combinations(vertices, 2))
-        assert (p.support is not None) == roots
+        assert certified(p) == roots
         assert lattice_points(p) == lp_lattice_points(p)
 
     @_RANDOM
@@ -844,7 +877,7 @@ class TestSupport:
     def test_sums_of_simplices_are_certified(self, case):
         n, points = case
         p = VPolytope.from_points(n, points)
-        assert p.support is not None
+        assert certified(p)
         assert lattice_points(p) == lp_lattice_points(p) == points
 
 

@@ -517,16 +517,10 @@ def _double_leading_coefficients(monkeypatch):
 
 
 def _support_without_greedy_check(monkeypatch):
-    """``support`` returns the support values of every hull whose
-    generators share a coordinate sum, greedy vertices or not."""
-
-    def support(p):
-        if p._common_sum is None:
-            return None
-        masks = range(1 << p.n)
-        return tuple(max(sum(x for i, x in enumerate(g) if s >> i & 1) for g in p.generators) for s in masks)
-
-    monkeypatch.setattr(polytope.VPolytope, "support", property(support))
+    """``_proven_lattice_points`` returns the lattice points of H(h) for
+    every generator set that shares a coordinate sum, greedy vertices or
+    not: there are no greedy vertices to check."""
+    monkeypatch.setattr(polytope, "_greedy_chains", lambda n: ())
 
 
 @pytest.mark.parametrize(
@@ -557,4 +551,9 @@ def test_uncaught_faults_take_effect(monkeypatch):
     _support_without_greedy_check(monkeypatch)
     for module in (verify, bruhat):
         assert module.key_polynomial((0, 1)).terms == {(1, 0): 2, (0, 1): 1}
-    assert polytope.VPolytope.from_points(3, [(2, 0, 1), (0, 1, 2), (1, 2, 0)]).support is not None
+    # The triangle has no edge along any e_i - e_j, so it is not a
+    # generalized permutahedron, yet it gets all 7 lattice points of H(h).
+    triangle = polytope.VPolytope.from_points(3, [(2, 0, 1), (0, 1, 2), (1, 2, 0)])
+    assert polytope.lattice_points(triangle) == {
+        (2, 0, 1), (0, 1, 2), (1, 2, 0), (1, 1, 1), (2, 1, 0), (0, 2, 1), (1, 0, 2)
+    }
