@@ -49,9 +49,13 @@ class Diagram:
     def __post_init__(self):
         if type(self.n) is not int:
             raise ValueError(f"n must be an int, got {self.n!r}")
+        if type(self.columns) is not tuple:
+            raise ValueError(f"columns must be a tuple, got {self.columns!r}")
         if len(self.columns) != self.n:
             raise ValueError(f"expected {self.n} columns, got {len(self.columns)}")
         for col in self.columns:
+            if type(col) is not tuple:
+                raise ValueError(f"each column must be a tuple, got {col!r}")
             if any(type(r) is not int or not 1 <= r <= self.n for r in col):
                 raise ValueError(f"diagram rows must be ints in 1..{self.n}, got column {col}")
             if any(col[k] >= col[k + 1] for k in range(len(col) - 1)):

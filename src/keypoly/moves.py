@@ -97,6 +97,8 @@ class MoveChain:
     moves: tuple[Move, ...]
 
     def __post_init__(self):
+        if type(self.start) is not tuple or type(self.moves) is not tuple:
+            raise ValueError(f"move chain start and moves must be tuples, got {self.start!r}, {self.moves!r}")
         if any(type(x) is not int for x in self.start):
             raise ValueError(f"move chain start entries must be ints, got {self.start}")
         if not all(isinstance(mv, Move) for mv in self.moves):

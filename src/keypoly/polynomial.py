@@ -99,8 +99,8 @@ class SparsePolynomial:
     @classmethod
     def variable(cls, n: int, i: int) -> SparsePolynomial:
         """The polynomial x_i (1-based)."""
-        if not 1 <= i <= n:
-            raise ValueError(f"variable index {i} out of range 1..{n}")
+        if type(i) is not int or not 1 <= i <= n:
+            raise ValueError(f"variable index {i!r} is not an int in 1..{n}")
         exp = [0] * n
         exp[i - 1] = 1
         return cls(n, {tuple(exp): 1})
@@ -128,6 +128,8 @@ class SparsePolynomial:
         return hash((self.n, frozenset(self._terms.items())))
 
     def __add__(self, other: SparsePolynomial) -> SparsePolynomial:
+        if not isinstance(other, SparsePolynomial):
+            return NotImplemented
         self._check_same_vars(other)
         out = dict(self._terms)
         for exp, coeff in other._terms.items():
@@ -145,9 +147,11 @@ class SparsePolynomial:
         return self + (-other)
 
     def __mul__(self, other: SparsePolynomial | int) -> SparsePolynomial:
-        if isinstance(other, int):
+        if type(other) is int:
             scaled = {e: c * other for e, c in self._terms.items()} if other else {}
             return SparsePolynomial._unchecked(self.n, scaled)
+        if not isinstance(other, SparsePolynomial):
+            return NotImplemented
         self._check_same_vars(other)
         out: dict[tuple[int, ...], int] = {}
         for ea, ca in self._terms.items():
@@ -174,8 +178,8 @@ class SparsePolynomial:
 
     def times_variable(self, i: int) -> SparsePolynomial:
         """Multiply by x_i."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"variable index {i} out of range 1..{self.n}")
+        if type(i) is not int or not 1 <= i <= self.n:
+            raise ValueError(f"variable index {i!r} is not an int in 1..{self.n}")
         k = i - 1
         out = {exp[:k] + (exp[k] + 1,) + exp[k + 1:]: c for exp, c in self._terms.items()}
         return SparsePolynomial._unchecked(self.n, out)
@@ -211,8 +215,8 @@ class SparsePolynomial:
             raise ValueError(f"variable counts differ: {self.n} vs {other.n}")
 
     def _check_operator_index(self, i: int) -> None:
-        if not 1 <= i <= self.n - 1:
-            raise ValueError(f"operator index {i} out of range 1..{self.n - 1}")
+        if type(i) is not int or not 1 <= i <= self.n - 1:
+            raise ValueError(f"operator index {i!r} is not an int in 1..{self.n - 1}")
 
 
 def divided_difference(f: SparsePolynomial, i: int) -> SparsePolynomial:

@@ -38,7 +38,7 @@ from keypoly.polynomial import (
 )
 from keypoly.polytope import VPolytope, lattice_points, polytope_subset
 from keypoly.verify import suite_aa
-from worked_examples import EXCHANGE_EXAMPLE, PROMOTE_EXAMPLE
+from worked_examples import EXCHANGE_EXAMPLE, PROMOTE_EXAMPLE, full_family, rand_poly
 
 WORKED_KEY_TERMS = {
     (3, 2, 1): 1,
@@ -54,12 +54,6 @@ def skyline_family(n_max, part_max):
     the cap by n keeps every skyline inside its grid."""
     for n in range(1, n_max + 1):
         for alpha in product(range(min(part_max, n) + 1), repeat=n):
-            yield alpha
-
-
-def full_family(n_max, part_max):
-    for n in range(1, n_max + 1):
-        for alpha in product(range(part_max + 1), repeat=n):
             yield alpha
 
 
@@ -173,19 +167,8 @@ def test_criterion_08_bruhat_interval_polytopes_s4():
 
 def test_criterion_09_operator_algebra():
     rng = random.Random(808)
-
-    def rand_poly():
-        terms = {}
-        for _ in range(rng.randint(1, 10)):
-            while True:
-                exp = tuple(rng.randint(0, 5) for _ in range(4))
-                if sum(exp) <= 5:
-                    break
-            terms[exp] = rng.choice([c for c in range(-9, 10) if c])
-        return SparsePolynomial(4, terms)
-
     for _ in range(100):
-        f = rand_poly()
+        f = rand_poly(rng)
         for i in (1, 2):
             assert demazure(demazure(demazure(f, i), i + 1), i) == demazure(
                 demazure(demazure(f, i + 1), i), i + 1

@@ -22,15 +22,11 @@ from keypoly.diagram import (
     subset_leq,
 )
 from keypoly.polynomial import exponent_vectors, key_polynomial
-from worked_examples import GRID4_DIAGRAM, GRID5_DIAGRAM
+from worked_examples import GRID4_DIAGRAM, GRID5_DIAGRAM, random_diagram
 
 
 def lower_subsets_oracle(s, n):
     return [r for r in combinations(range(1, n + 1), len(tuple(s))) if subset_leq(r, s)]
-
-
-def random_diagram(rng, n):
-    return Diagram.make(n, [[r for r in range(1, n + 1) if rng.random() < 0.5] for _ in range(n)])
 
 
 class TestDiagram:
@@ -48,6 +44,12 @@ class TestDiagram:
             Diagram.make(2, columns)
         with pytest.raises(ValueError, match="rows must be ints"):
             Diagram(2, tuple(map(tuple, columns)))
+
+    @pytest.mark.parametrize("columns", [[(1,)], ([1],)])
+    def test_columns_must_be_tuples(self, columns):
+        # a list would leave the frozen diagram unhashable
+        with pytest.raises(ValueError, match="must be a tuple"):
+            Diagram(1, columns)
 
     def test_rejects_wrong_column_count(self):
         with pytest.raises(ValueError):

@@ -39,6 +39,7 @@ from worked_examples import (
     GRID5_SCRAMBLED,
     GRID5_SORTED,
     PROMOTE_EXAMPLE,
+    random_diagram,
 )
 
 
@@ -78,10 +79,6 @@ def random_filling(rng: random.Random, d: Diagram) -> Filling:
                 cols.append(tuple(values))
                 break
     return Filling(d, tuple(cols))
-
-
-def random_diagram(rng: random.Random, n: int) -> Diagram:
-    return Diagram.make(n, [[r for r in range(1, n + 1) if rng.random() < 0.5] for _ in range(n)])
 
 
 class TestFillingType:

@@ -27,6 +27,7 @@ from keypoly.moves import (
     leq_kappa,
 )
 from keypoly.polynomial import exponent_vectors, key_polynomial
+from worked_examples import full_family
 
 
 def reference_bfs_parents(alpha):
@@ -50,9 +51,6 @@ def kernel_parents_as_moves(alpha):
         (w, None if step is None else (step[0], Move(*step[1:])))
         for w, step in moves._bfs_parents(alpha).items()
     ]
-
-
-SMALL_ALPHAS = [a for n in range(1, 5) for a in product(range(5), repeat=n)]
 
 
 class TestMove:
@@ -84,6 +82,12 @@ class TestMove:
             apply_move((1, 2), Move("T", 1, 3))
         with pytest.raises(ValueError):
             MoveChain((0, 2), ("x",))
+
+    @pytest.mark.parametrize("start, chain_moves", [([0, 1], ()), ((0, 1), [Move("T", 1, 2)])])
+    def test_chain_fields_must_be_tuples(self, start, chain_moves):
+        # a list field would leave the frozen chain unhashable
+        with pytest.raises(ValueError, match="must be tuples"):
+            MoveChain(start, chain_moves)
 
     def test_json_round_trip(self):
         chain = MoveChain((1, 3, 2), (Move("M", 1, 2),))
@@ -129,7 +133,7 @@ class TestClosure:
         # identical discovery order and identical (parent, move) per vector;
         # the length-6 vectors repeat entries and have gaps of 2 or more,
         # so one state often has a T and an M move on the same pair
-        for alpha in SMALL_ALPHAS + [(0, 1, 2, 3, 4), (0, 3, 1, 3, 0, 2), (2, 0, 4, 1, 1, 3), (0, 1, 2, 3, 4, 5)]:
+        for alpha in full_family(4, 4) + [(0, 1, 2, 3, 4), (0, 3, 1, 3, 0, 2), (2, 0, 4, 1, 1, 3), (0, 1, 2, 3, 4, 5)]:
             expected = reference_bfs_parents(alpha)
             assert kernel_parents_as_moves(alpha) == list(expected.items()), alpha
             lo, hi, total = min(alpha), max(alpha), sum(alpha)

@@ -23,22 +23,17 @@ permutahedron iff every edge is parallel to some e_i - e_j.
 
 import contextlib
 import inspect
-import os
 import random
-import subprocess
 import sys
-import textwrap
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from operator import mul
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-import keypoly
 from keypoly import polytope, verify
 from keypoly.moves import closure, dominance_leq
 from keypoly.polynomial import SparsePolynomial, exponent_vectors, key_polynomial
@@ -51,6 +46,7 @@ from keypoly.polytope import (
     polytope_subset,
     snp_check,
 )
+from worked_examples import full_family
 
 
 def reference_feasible(generators, point):
@@ -149,12 +145,6 @@ def certified(p):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polytope, "_support_lattice_points", lambda n, h: real(n, h) | {(-1,) * n})
         return polytope._proven_lattice_points(p.n, p._generator_set) is not None
-
-
-def _sweep(n_max, part_max):
-    """The theorem11 and rado sweep: every vector of length 1..n_max with
-    parts in 0..part_max, lexicographically."""
-    return [alpha for n in range(1, n_max + 1) for alpha in product(range(part_max + 1), repeat=n)]
 
 
 def hull_contains_2d(generators, point):
@@ -451,7 +441,7 @@ class TestReferenceSimplex:
         monkeypatch.setattr(polytope, "contains", record)
         # The Newton polytopes of theorem11's sweep, built here because
         # the suite reaches an LP only when the sandwich misses.
-        for alpha in _sweep(3, 3):
+        for alpha in full_family(3, 3):
             exps = exponent_vectors(key_polynomial(alpha))
             assert lattice_points(VPolytope.from_points(len(alpha), exps)) == exps
         assert verify.suite_rado(3, 3).passed
@@ -470,201 +460,126 @@ class TestReferenceSimplex:
         assert 50 < sum(answers) < 250  # both answers are exercised
 
 
-# Run under ``python -O``, which strips every assert, so the exit status
-# shows whether the certificate checks still reject on their own.
-_TAMPER_SCRIPT = textwrap.dedent(
-    """
-    from keypoly.polytope import CertificateError, VPolytope, _check_combination, _check_separation, _dual_restart
-
-    def rejected(check, *args):
-        try:
-            check(*args)
-        except CertificateError:
-            return True
-        return False
-
-    square = ((0, 0), (2, 0), (0, 2))
-    feasible, lam, scale = _dual_restart((1, 1), 2, VPolytope(2, square)._crash)
-    if not feasible or rejected(_check_combination, square, (1, 1), 2, lam, scale):
-        raise SystemExit("honest hull certificate was not accepted")
-    for i in range(len(lam)):
-        for delta in (-1, 1):
-            bad = list(lam)
-            bad[i] += delta
-            if not rejected(_check_combination, square, (1, 1), 2, bad, scale):
-                raise SystemExit(f"tampered weights {bad} were accepted")
-    feasible, y, _ = _dual_restart((2, 2), 1, VPolytope(2, square)._crash)
-    if feasible or rejected(_check_separation, square, (2, 2), 1, y):
-        raise SystemExit("honest separation certificate was not accepted")
-    for i in range(len(y)):
-        if y[i]:
-            bad = list(y)
-            bad[i] = -bad[i]
-            if not rejected(_check_separation, square, (2, 2), 1, bad):
-                raise SystemExit(f"tampered separation {bad} was accepted")
-    print("optimized" if not __debug__ else "debug", lam, scale, y)
-    """
-)
-
-
-# The same under ``python -O`` for the sandwich and the greedy
-# certificate: a triangle in x + y + z = 3 with no edge along any
-# e_i - e_j is proven by neither, and its lattice points still come out
-# right, through the LP.
-_REJECT_SCRIPT = textwrap.dedent(
-    """
-    from keypoly.polytope import VPolytope, _proven_lattice_points, lattice_points
-
-    triangle = VPolytope.from_points(3, [(2, 0, 1), (0, 1, 2), (1, 2, 0)])
-    proven = _proven_lattice_points(3, triangle._generator_set)
-    if proven is not None:
-        raise SystemExit(f"the triangle was proven with lattice points {sorted(proven)}")
-    points = lattice_points(triangle)
-    if points != {(2, 0, 1), (0, 1, 2), (1, 2, 0), (1, 1, 1)}:
-        raise SystemExit(f"wrong lattice points {sorted(points)}")
-    print("optimized" if not __debug__ else "debug", sorted(points))
-    """
-)
-
-
-# The same under ``python -O`` for the crash basis: it answers a point it
-# fits with no pivot, and a corrupted one is caught by the check of the
-# weights it gives.  Once its cached properties are built, a hull is left
-# as it was by every call, so asking again takes the same pivots.
-_CRASH_SCRIPT = textwrap.dedent(
-    """
-    from fractions import Fraction
-    from keypoly import polytope
-    from keypoly.polytope import CertificateError, VPolytope, contains
-
-    pivots = []
-    real = polytope._pivot
-
-    def counted(*args):
-        pivots.append(args[2:4])
-        return real(*args)
-
-    polytope._pivot = counted
-    half, third = (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 3))
-    triangle = VPolytope.from_points(2, [(0, 0), (2, 0), (0, 2)])
-    square = VPolytope.from_points(2, [(0, 0), (2, 0), (0, 2), (2, 2)])
-    asked = [
-        (triangle, half),
-        (triangle, third),
-        (triangle, (Fraction(3, 2), Fraction(3, 2))),
-        (square, (Fraction(1, 2), Fraction(1, 4))),
-        (square, (Fraction(3, 2), Fraction(7, 4))),
-        (square, (Fraction(1, 4), Fraction(1, 4))),
-    ]
-    crash = {p: p._crash for p, _ in asked}
-
-    def answer_all():
-        answers = []
-        for p, point in asked:
-            before = len(pivots)
-            answers.append((contains(p, point), len(pivots) - before))
-        return answers
-
-    answers = answer_all()
-    state = {p: dict(vars(p)) for p, _ in asked}
-    if answer_all() != answers or any(vars(p) != state[p] for p, _ in asked):
-        raise SystemExit("an answer changed its hull")
-
-    columns, rows, equations, d = crash[triangle]
-    bad = [list(row) for row in rows]
-    bad[0][-2] = -bad[0][-2]  # an artificial entry of the first pivoted row
-    vars(triangle)["_crash"] = (columns, tuple(map(tuple, bad)), equations, d)
-    try:
-        contains(triangle, third)
-    except CertificateError:
-        pass
-    else:
-        raise SystemExit("a corrupted crash basis was trusted")
-    print("optimized" if not __debug__ else "debug", answers)
-    """
-)
-
-
-# The same under ``python -O`` for the dual simplex: on a fresh segment
-# hull, each of the three points below reaches it from the crash basis
-# (one per exit), and a flipped answer or a tampered certificate from it
-# is caught by the check.
-_RESTART_SCRIPT = textwrap.dedent(
-    """
-    from fractions import Fraction
-    from keypoly import polytope
-    from keypoly.polytope import CertificateError, VPolytope, contains
-
-    half = Fraction(1, 2)
-    asked = [(3 * half, 3 * half), (0, half), (half, 0)]
-    real = polytope._dual_restart
-    calls = []
-
-    def hull():
-        return VPolytope.from_points(2, [(0, 0), (1, 1), (2, 2)])
-
-    def flip(feasible, certificate, scale):
-        return not feasible, certificate, scale
-
-    def nudge(feasible, certificate, scale):
-        if feasible:
-            return feasible, [certificate[0] + 1, *certificate[1:]], scale
-        return feasible, [-x for x in certificate], scale
-
-    def tampered(*args):
-        calls.append(args[:2])
-        return tamper(*real(*args))
-
-    honest = [contains(hull(), point) for point in asked]
-    polytope._dual_restart = tampered
-    for tamper in (flip, nudge):
-        for point in asked:
-            before = len(calls)
-            try:
-                contains(hull(), point)
-            except CertificateError:
-                if len(calls) == before + 1:
-                    continue
-            raise SystemExit(f"{tamper.__name__} at {point} was not caught in the restart")
-    print("optimized" if not __debug__ else "debug", honest)
-    """
-)
-
-
-def _run_optimized(script):
-    src = str(Path(keypoly.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60)
-
-
+# The certificate checks raise rather than assert, and
+# ``tests/test_cli.py::test_src_has_no_assert_statements`` keeps ``-O``
+# from changing the package, so these tests hold under ``python -O``.
 class TestCertificates:
     def test_tampered_certificates_rejected_without_asserts(self):
-        proc = _run_optimized(_TAMPER_SCRIPT)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.startswith("optimized [4, 2, 2] 4 [-4, 2, 2]"), proc.stdout
+        """Honest certificates from the dual simplex are accepted, and
+        each with one weight moved by one, or one entry of the separation
+        negated, is refused."""
+        square = ((0, 0), (2, 0), (0, 2))
+        crash = VPolytope(2, square)._crash
+        feasible, lam, scale = polytope._dual_restart((1, 1), 2, crash)
+        assert feasible and (lam, scale) == ([4, 2, 2], 4)
+        polytope._check_combination(square, (1, 1), 2, lam, scale)
+        for i, delta in product(range(len(lam)), (-1, 1)):
+            bad = list(lam)
+            bad[i] += delta
+            with pytest.raises(polytope.CertificateError):
+                polytope._check_combination(square, (1, 1), 2, bad, scale)
+        feasible, y, _ = polytope._dual_restart((2, 2), 1, crash)
+        assert not feasible and y == [-4, 2, 2]
+        polytope._check_separation(square, (2, 2), 1, y)
+        for i in range(len(y)):
+            bad = list(y)
+            bad[i] = -bad[i]
+            with pytest.raises(polytope.CertificateError):
+                polytope._check_separation(square, (2, 2), 1, bad)
 
     def test_support_rejected_without_asserts(self):
-        proc = _run_optimized(_REJECT_SCRIPT)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.startswith("optimized [(0, 1, 2), (1, 1, 1)"), proc.stdout
+        """A triangle in x + y + z = 3 with no edge along any e_i - e_j is
+        proven by neither the sandwich nor the greedy certificate, and its
+        lattice points still come out right, through the LP."""
+        triangle = VPolytope.from_points(3, [(2, 0, 1), (0, 1, 2), (1, 2, 0)])
+        assert polytope._proven_lattice_points(3, triangle._generator_set) is None
+        assert lattice_points(triangle) == {(2, 0, 1), (0, 1, 2), (1, 2, 0), (1, 1, 1)}
 
-    def test_crash_basis_checked_without_asserts(self):
-        proc = _run_optimized(_CRASH_SCRIPT)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
+    def test_crash_basis_checked_without_asserts(self, monkeypatch):
+        """The crash basis answers a point it fits with no pivot, and a
+        corrupted one is caught by the check of the weights it gives.
+        Once its cached properties are built, a hull is left as it was by
+        every call, so asking again takes the same pivots."""
+        pivots = []
+        real = polytope._pivot
+
+        def counted(*args):
+            pivots.append(args[2:4])
+            return real(*args)
+
+        monkeypatch.setattr(polytope, "_pivot", counted)
+        half, third = (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(1, 3))
+        triangle = VPolytope.from_points(2, [(0, 0), (2, 0), (0, 2)])
+        square = VPolytope.from_points(2, [(0, 0), (2, 0), (0, 2), (2, 2)])
+        asked = [
+            (triangle, half),
+            (triangle, third),
+            (triangle, (Fraction(3, 2), Fraction(3, 2))),
+            (square, (Fraction(1, 2), Fraction(1, 4))),
+            (square, (Fraction(3, 2), Fraction(7, 4))),
+            (square, (Fraction(1, 4), Fraction(1, 4))),
+        ]
+        crash = {p: p._crash for p, _ in asked}
+
+        def answer_all():
+            answers = []
+            for p, point in asked:
+                before = len(pivots)
+                answers.append((contains(p, point), len(pivots) - before))
+            return answers
+
         # (answer, pivots): the triangle's crash basis, on all three
         # generators, fits (1/2, 1/2) and (1/3, 1/3), and refuses
         # (3/2, 3/2) with no pivot either: the weight of (0, 0) is
         # negative and its row has no negative entry.  The square's crash
         # basis, on (0, 0), (0, 2) and (2, 0), fits its first and third
         # points; its second needs (2, 2), one pivot away.
-        assert proc.stdout.startswith(
-            "optimized [(True, 0), (True, 0), (False, 0), (True, 0), (True, 1), (True, 0)]"
-        ), proc.stdout
+        answers = answer_all()
+        assert answers == [(True, 0), (True, 0), (False, 0), (True, 0), (True, 1), (True, 0)]
+        state = {p: dict(vars(p)) for p, _ in asked}
+        assert answer_all() == answers
+        assert all(vars(p) == state[p] for p, _ in asked)
 
-    def test_restart_certificates_checked_without_asserts(self):
-        proc = _run_optimized(_RESTART_SCRIPT)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.startswith("optimized [True, False, False]"), proc.stdout
+        columns, rows, equations, d = crash[triangle]
+        bad = [list(row) for row in rows]
+        bad[0][-2] = -bad[0][-2]  # an artificial entry of the first pivoted row
+        vars(triangle)["_crash"] = (columns, tuple(map(tuple, bad)), equations, d)
+        with pytest.raises(polytope.CertificateError):
+            contains(triangle, third)
+
+    def test_restart_certificates_checked_without_asserts(self, monkeypatch):
+        """On a fresh segment hull, each of the three points below reaches
+        the dual simplex from the crash basis (one per exit), and a
+        flipped answer or a tampered certificate from it is caught by the
+        check in that one call."""
+        half = Fraction(1, 2)
+        asked = [(3 * half, 3 * half), (0, half), (half, 0)]
+
+        def hull():
+            return VPolytope.from_points(2, [(0, 0), (1, 1), (2, 2)])
+
+        def flip(feasible, certificate, scale):
+            return not feasible, certificate, scale
+
+        def nudge(feasible, certificate, scale):
+            if feasible:
+                return feasible, [certificate[0] + 1, *certificate[1:]], scale
+            return feasible, [-x for x in certificate], scale
+
+        calls = []
+        real = polytope._dual_restart
+
+        def tampered(*args):
+            calls.append(args[:2])
+            return tamper(*real(*args))
+
+        assert [contains(hull(), point) for point in asked] == [True, False, False]
+        monkeypatch.setattr(polytope, "_dual_restart", tampered)
+        for tamper, point in product((flip, nudge), asked):
+            calls.clear()
+            with pytest.raises(polytope.CertificateError):
+                contains(hull(), point)
+            assert len(calls) == 1, (tamper.__name__, point)
 
     def test_answers_raise_when_certificate_breaks(self, monkeypatch):
         """A flipped answer from the dual simplex raises, for a point in
@@ -824,7 +739,7 @@ class TestSupport:
         H-path lattice points equal the LP scan's and the exponents; at
         n <= 3, parts <= 3 every box candidate is also settled by the
         Fraction reference simplex."""
-        for alpha in _sweep(4, 4):
+        for alpha in full_family(4, 4):
             exps = exponent_vectors(key_polynomial(alpha))
             p = VPolytope.from_points(len(alpha), exps)
             assert polytope._proven_lattice_points(p.n, exps) == exps and certified(p), alpha

@@ -1,4 +1,5 @@
-"""Hand-checked worked examples shared by the tests.
+"""Hand-checked worked examples, and the input families, shared by the
+tests.
 
 All coordinates use the package convention: rows 1..n top to bottom,
 columns 1..n left to right, fillings written column by column as
@@ -8,9 +9,11 @@ columns 1..n left to right, fillings written column by column as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from keypoly.diagram import Diagram, skyline
 from keypoly.filling import Filling
+from keypoly.polynomial import SparsePolynomial
 
 __all__ = [
     "GRID4_DIAGRAM",
@@ -21,7 +24,34 @@ __all__ = [
     "DescentExample",
     "PROMOTE_EXAMPLE",
     "EXCHANGE_EXAMPLE",
+    "full_family",
+    "rand_poly",
+    "random_diagram",
 ]
+
+
+def full_family(n_max: int, part_max: int) -> list[tuple[int, ...]]:
+    """Every vector of length 1..n_max with parts in 0..part_max, by
+    length, then lexicographically: the theorem11 and rado sweep."""
+    return [alpha for n in range(1, n_max + 1) for alpha in product(range(part_max + 1), repeat=n)]
+
+
+def rand_poly(rng, n=4, max_terms=10, max_deg=5) -> SparsePolynomial:
+    """A polynomial in n variables with up to max_terms terms of total
+    degree at most max_deg and nonzero coefficients in -9..9."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        while True:
+            exp = tuple(rng.randint(0, max_deg) for _ in range(n))
+            if sum(exp) <= max_deg:
+                break
+        terms[exp] = rng.choice([c for c in range(-9, 10) if c])
+    return SparsePolynomial(n, terms)
+
+
+def random_diagram(rng, n: int) -> Diagram:
+    """An n x n diagram with each box present with probability 1/2."""
+    return Diagram.make(n, [[r for r in range(1, n + 1) if rng.random() < 0.5] for _ in range(n)])
 
 
 def _filling(d: Diagram, by_column: list[dict[int, int]]) -> Filling:
