@@ -27,13 +27,14 @@ __all__ = ["main", "console_main"]
 
 
 def _composition(text: str) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse composition {text!r}") from None
-    if any(p < 0 for p in parts):
+    """Comma-separated parts, each of ASCII decimal digits only: ``int``
+    alone would also read "1_0", "+1", " 2", "-0" and non-ASCII digits."""
+    parts = text.split(",")
+    if all(p.isascii() and p.isdigit() for p in parts):
+        return tuple(map(int, parts))
+    if any(p[:1] == "-" and p[1:].isascii() and p[1:].isdigit() for p in parts):
         raise argparse.ArgumentTypeError(f"composition parts must be nonnegative: {text!r}")
-    return parts
+    raise argparse.ArgumentTypeError(f"cannot parse composition {text!r}")
 
 
 def _key(args):

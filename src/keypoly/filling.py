@@ -58,16 +58,20 @@ class Filling:
 
     def __post_init__(self):
         d = self.diagram
+        if not isinstance(d, Diagram) or type(self.columns) is not tuple:
+            raise ValueError(f"a filling needs a Diagram and a tuple of columns, got {d!r}, {self.columns!r}")
         if len(self.columns) != d.n:
             raise ValueError(f"expected {d.n} value columns, got {len(self.columns)}")
         for rows, values in zip(d.columns, self.columns):
+            if type(values) is not tuple:
+                raise ValueError(f"each value column must be a tuple, got {values!r}")
             if len(rows) != len(values):
                 raise ValueError(f"column with rows {rows} got {len(values)} values")
             if len(set(values)) != len(values):
                 raise ValueError(f"repeated value in column {values}")
             for row, value in zip(rows, values):
-                if not 1 <= value <= row:
-                    raise ValueError(f"entry {value} in row {row} breaks the flag bound")
+                if type(value) is not int or not 1 <= value <= row:
+                    raise ValueError(f"entry {value!r} in row {row} is not an int in 1..{row}")
 
     def entry(self, row: int, col: int) -> int:
         if not self.diagram.has_box(row, col):

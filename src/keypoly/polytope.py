@@ -12,10 +12,10 @@ cut out the H-polytope
 
     H(h):  sum_{i in S} x_i <= h(S)  for every S,   sum_i x_i = h([n]).
 
-``_proven_lattice_points`` enumerates the lattice points of H(h) once,
+``_lattice_points`` enumerates the lattice points of H(h) once,
 coordinate by coordinate, each coordinate over the interval its prefix
-leaves open, and returns them when one of two proofs holds; otherwise it
-returns None.  Every generator meets the inequalities.
+leaves open, and answers from them in this order.  Every generator
+meets the inequalities.
 
 - The sandwich.  When the generators G share a coordinate sum, G lies in
   the lattice points of conv G, which lie in those of H(h), whether or
@@ -27,10 +27,13 @@ returns None.  Every generator meets the inequalities.
   a generator.  Greedy vertices inside the hull make h submodular, and a
   submodular h has exactly the greedy vertices as the vertices of H(h),
   so the hull is H(h).
+- Otherwise the LP below settles each candidate.  When G shares a
+  coordinate sum, the candidates are the points of H(h): H(h) is convex
+  and holds G, so it holds every lattice point of conv G.  When G does
+  not, they are the points of the coordinate box of G.
 
-``lattice_points`` and ``newton_lattice_points`` both ask this routine
-first.  When it returns None, ``lattice_points`` falls back to the LP
-below, and ``newton_lattice_points`` builds the hull for it; which path
+``lattice_points`` and ``newton_lattice_points`` both answer through
+this routine; the second builds the hull only for the LP, and which path
 runs depends only on the generators.
 
 ``contains`` and ``polytope_subset`` (hence the ``rado`` suite) answer
@@ -138,12 +141,6 @@ class VPolytope:
         return tuple(map(min, columns)), tuple(map(max, columns))
 
     @cached_property
-    def _common_sum(self) -> int | None:
-        """The coordinate sum every generator shares, or None."""
-        sums = {sum(g) for g in self.generators}
-        return next(iter(sums)) if len(sums) == 1 else None
-
-    @cached_property
     def _generator_set(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self.generators)
 
@@ -188,13 +185,17 @@ def _greedy_chains(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...
     return tuple(chains)
 
 
-def _proven_lattice_points(n: int, generators: Set[tuple[int, ...]]) -> set[tuple[int, ...]] | None:
+def _lattice_points(
+    n: int, generators: Set[tuple[int, ...]], hull: VPolytope | SparsePolynomial
+) -> set[tuple[int, ...]]:
     """The lattice points of the hull of the nonempty point set
-    generators, when the sandwich or the greedy certificate proves them
-    to be those of H(h) for the generators' support values h; otherwise
-    None.  When the sandwich holds, the answer is generators itself, so
-    a caller that compares it with its own exponent tuples matches them
-    by identity rather than by value.
+    generators, from one enumeration of H(h) for the generators' support
+    values h: by the sandwich, by the greedy certificate, or else by
+    ``contains`` on each candidate (see the module docstring).  hull is
+    that hull, or the polynomial whose Newton polytope it is, which is
+    built only for ``contains``.  When the sandwich holds, the answer is
+    generators itself, so a caller that compares it with its own exponent
+    tuples matches them by identity rather than by value.
 
     The greedy certificate makes h submodular, the hypothesis of
     Edmonds' theorem: the greedy vertex v of an ordering that starts with
@@ -205,13 +206,16 @@ def _proven_lattice_points(n: int, generators: Set[tuple[int, ...]]) -> set[tupl
     points = _support_lattice_points(n, h)
     if points == generators:
         return generators
-    if len({sum(g) for g in generators}) != 1:
-        return None
+    common = len({sum(g) for g in generators}) == 1
     get = h.__getitem__
-    for upto, before in _greedy_chains(n):
-        if tuple(map(sub, map(get, upto), map(get, before))) not in generators:
-            return None
-    return points
+    if common and all(
+        tuple(map(sub, map(get, upto), map(get, before))) in generators for upto, before in _greedy_chains(n)
+    ):
+        return points
+    p = newton_polytope(hull) if isinstance(hull, SparsePolynomial) else hull
+    if not common:
+        points = product(*(range(lo, hi + 1) for lo, hi in zip(*p._box)))
+    return {c for c in points if contains(p, c)}
 
 
 def newton_polytope(f: SparsePolynomial) -> VPolytope:
@@ -406,27 +410,9 @@ def _check_separation(
 
 
 def lattice_points(p: VPolytope) -> set[tuple[int, ...]]:
-    """All integer points of the hull.
-
-    ``_proven_lattice_points`` answers first, with no LP.  When it
-    cannot, candidates are drawn from the per-coordinate min/max box, in
-    lex order; when every generator has the same coordinate sum, that sum
-    fixes the last coordinate, which must fall in its own range.  Each
-    candidate is then settled by ``contains``.
-    """
-    points = _proven_lattice_points(p.n, set(p.generators))
-    if points is not None:
-        return points
-    ranges = [range(lo, hi + 1) for lo, hi in zip(*p._box)]
-    target = p._common_sum
-    if target is None or not ranges:
-        candidates = product(*ranges)
-    else:
-        last = ranges.pop()
-        candidates = (
-            (*head, x) for head in product(*ranges) if (x := target - sum(head)) in last
-        )
-    return {c for c in candidates if contains(p, c)}
+    """All integer points of the hull, by ``_lattice_points``; an LP
+    runs on p itself, so its crash basis serves every candidate."""
+    return _lattice_points(p.n, set(p.generators), p)
 
 
 def _support_lattice_points(n: int, h: Sequence[int]) -> set[tuple[int, ...]]:
@@ -470,14 +456,13 @@ def _support_lattice_points(n: int, h: Sequence[int]) -> set[tuple[int, ...]]:
 
 
 def newton_lattice_points(f: SparsePolynomial) -> set[tuple[int, ...]]:
-    """All integer points of the Newton polytope of a nonzero polynomial:
-    ``_proven_lattice_points`` of the exponents, with no hull, and
-    ``lattice_points`` of the hull only when that returns None."""
+    """All integer points of the Newton polytope of a nonzero polynomial,
+    by ``_lattice_points`` of its exponents, which builds the hull only
+    when neither proof answers."""
     exps = f.exponents()
     if not exps:
         raise ValueError("the zero polynomial has no Newton polytope")
-    points = _proven_lattice_points(f.n, exps)
-    return lattice_points(newton_polytope(f)) if points is None else points
+    return _lattice_points(f.n, exps, f)
 
 
 def snp_check(f: SparsePolynomial) -> bool:

@@ -31,8 +31,9 @@ are reported after it, sorted by alpha, so in sweep order.
 points of the H-polytope of the exponents' support values, when the
 sandwich (they are exactly the exponents) or, after a miss, the greedy
 certificate proves them those of the Newton polytope, with no hull and
-no LP.  Only when neither does is the hull built for the LP, so a real
-failure is still found.
+no LP.  Only when neither does is the hull built, and the LP then
+settles each point of that same H-polytope, so a real failure is still
+found.
 
 A run's work depends only on ``(n_max, part_max)``.  The composition
 suites sweep lengths n = 1..n_max with parts up to part_max (up to

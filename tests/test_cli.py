@@ -45,6 +45,17 @@ class TestKey:
         code, _, _ = run(capsys, ["key", "1,x"])
         assert code == 2
 
+    # int() would read each of these, "1_0" as 10.
+    @pytest.mark.parametrize("text", ["1_0", "٣", "+1", " 2", "2 ", "-0", "1,,2", "", "²"])
+    def test_parts_other_than_ascii_digits_exit_2(self, capsys, text):
+        code, out, err = run(capsys, ["exponents", text])
+        assert code == 2 and out == ""
+        assert f"composition {text!r}" in err or f"nonnegative: {text!r}" in err
+
+    def test_leading_zeros_are_digits(self, capsys):
+        code, out, _ = run(capsys, ["exponents", "00,01"])
+        assert code == 0 and json.loads(out) == [[1, 0], [0, 1]]
+
     def test_pretty_is_valid_json(self, capsys):
         code, out, _ = run(capsys, ["--pretty", "key", "0,1"])
         assert code == 0 and "\n" in out

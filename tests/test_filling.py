@@ -97,6 +97,22 @@ class TestFillingType:
         with pytest.raises(ValueError):
             Filling(d, ((1, 1), ()))
 
+    @pytest.mark.parametrize(
+        "d, columns",
+        [
+            (skyline((1, 0)), [(1,), ()]),  # a list would make the filling unhashable
+            (skyline((1, 0)), ([1], ())),
+            (skyline((1, 0)), ((True,), ())),
+            (skyline((1, 0)), ((1.0,), ())),  # a float cannot index weight's counts
+            (skyline((1, 0)), (("1",), ())),
+            (skyline((1, 0)).columns, ((1,), ())),
+            (None, ((1,), ())),
+        ],
+    )
+    def test_rejects_non_diagram_non_tuple_and_non_int_fields(self, d, columns):
+        with pytest.raises(ValueError):
+            Filling(d, columns)
+
     def test_entry_lookup(self):
         f = row_index_filling(skyline((1, 2)))
         assert f.entry(2, 1) == 2

@@ -11,11 +11,12 @@ in a hull whose generator set is closed under permuting coordinates asks
 one point per orbit; its answers are compared with the scan of every
 generator by the reference, in the rado sweep and on random orbit hulls.
 
-The LP scan stays the oracle for ``_proven_lattice_points``, the
-sandwich and the greedy certificate behind both ``lattice_points`` and
-``newton_lattice_points``: ``lp_lattice_points`` forces the fallback,
-and they are compared on every Newton polytope of the theorem11 sweep at
-n <= 4, parts <= 4, and on random hulls.  Random simplices double as an
+The oracle for ``lattice_points`` and ``newton_lattice_points`` is
+``lp_lattice_points``, which asks ``contains`` about the points of the
+coordinate box and shares no code with the H(h) enumeration behind the
+sandwich, the greedy certificate and their LP fallback.  They are
+compared on every Newton polytope of the theorem11 sweep at n <= 4,
+parts <= 4, and on random hulls.  Random simplices double as an
 independent oracle for the greedy certificate, asked with the sandwich
 made to miss: all their vertex pairs are edges, so one is a generalized
 permutahedron iff every edge is parallel to some e_i - e_j.
@@ -119,32 +120,36 @@ def _reference_pivot(tableau, obj, row, col):
         obj[:] = [x - factor * y for x, y in zip(obj, pivot_row)]
 
 
-def _uncertified(monkeypatch):
-    """Make every hull unproven, so that ``lattice_points`` takes the LP
-    fallback."""
-    monkeypatch.setattr(polytope, "_proven_lattice_points", lambda n, generators: None)
-
-
-@pytest.fixture
-def lp_only(monkeypatch):
-    _uncertified(monkeypatch)
-
-
 def lp_lattice_points(p):
-    """``lattice_points`` through the LP scan, as for an unproven hull."""
-    with pytest.MonkeyPatch.context() as mp:
-        _uncertified(mp)
-        return lattice_points(p)
+    """The lattice points of p by the LP alone: ``polytope.contains`` of
+    every point of the generators' coordinate box whose coordinate sum
+    lies between theirs, as the sum of every point of the hull does.  It
+    asks through the module, so a spy on ``polytope.contains`` sees each
+    question."""
+    sums = [sum(g) for g in p.generators]
+    low, high = min(sums), max(sums)
+    box = product(*[range(lo, hi + 1) for lo, hi in zip(*p._box)])
+    return {c for c in box if low <= sum(c) <= high and polytope.contains(p, c)}
+
+
+def spy_contains(monkeypatch):
+    """Record every (hull, point) that ``polytope.contains`` is asked, and
+    answer it."""
+    asked = []
+    monkeypatch.setattr(polytope, "contains", lambda q, c: asked.append((q, c)) or contains(q, c))
+    return asked
 
 
 def certified(p):
-    """Whether the greedy certificate proves the lattice points of p: the
-    answer of ``_proven_lattice_points`` with the sandwich made to miss,
-    by a point with a negative coordinate added to H(h)."""
+    """Whether the greedy certificate proves the lattice points of p: with
+    the sandwich made to miss, by a point with a negative coordinate added
+    to H(h), ``lattice_points(p)`` asks ``contains`` nothing."""
     real = polytope._support_lattice_points
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polytope, "_support_lattice_points", lambda n, h: real(n, h) | {(-1,) * n})
-        return polytope._proven_lattice_points(p.n, p._generator_set) is not None
+        asked = spy_contains(mp)
+        lattice_points(p)
+    return not asked
 
 
 def hull_contains_2d(generators, point):
@@ -297,13 +302,35 @@ class TestLatticePoints:
     def test_zero_dimensional(self):
         assert lattice_points(VPolytope.from_points(0, [()])) == {()}
 
-    def test_candidates_are_box_points_on_the_common_sum_in_lex_order(self, monkeypatch, lp_only):
-        p = VPolytope.from_points(3, set(permutations((3, 1, 0))))
-        seen = []
-        real = polytope.contains
-        monkeypatch.setattr(polytope, "contains", lambda q, c: seen.append(c) or real(q, c))
-        lattice_points(p)
-        assert seen == [c for c in product(range(4), repeat=3) if sum(c) == 4]
+    def test_unproven_hull_with_a_common_sum_asks_only_about_h_points(self, monkeypatch):
+        # The segment direction (1, -1, 1, -1) is no e_i - e_j, so the
+        # greedy certificate fails; H(h) holds the midpoint besides the
+        # ends, and the box holds 19 points on the common sum.
+        p = VPolytope.from_points(4, [(2, 0, 2, 0), (0, 2, 0, 2)])
+        box = product(*[range(lo, hi + 1) for lo, hi in zip(*p._box)])
+        assert sum(sum(c) == 4 for c in box) == 19
+        asked = spy_contains(monkeypatch)
+        assert lattice_points(p) == {(2, 0, 2, 0), (1, 1, 1, 1), (0, 2, 0, 2)}
+        assert all(q is p for q, _ in asked)
+        assert sorted(c for _, c in asked) == [(0, 2, 0, 2), (1, 1, 1, 1), (2, 0, 2, 0)]
+
+    @pytest.mark.parametrize(
+        "generators, box_points",
+        [
+            ([(2, 0, 1), (0, 1, 2), (1, 2, 0)], 7),
+            ([(0, 0), (2, 2)], 9),
+            ([(2, 0, 1, 0), (0, 1, 2, 0), (1, 2, 0, 0), (0, 0, 0, 3)], 17),
+        ],
+    )
+    def test_lp_calls_at_most_the_box_points_on_the_common_sum(self, monkeypatch, generators, box_points):
+        """An unproven hull asks ``contains`` no more often than there are
+        box points on the generators' common sum, or in the whole box when
+        they have none."""
+        p = VPolytope.from_points(len(generators[0]), generators)
+        expected = lp_lattice_points(p)
+        asked = spy_contains(monkeypatch)
+        assert lattice_points(p) == expected
+        assert 0 < len(asked) <= box_points
 
 
 class TestSnp:
@@ -325,26 +352,26 @@ class TestSnp:
 
 class TestNewtonLatticePoints:
     """The sandwich answers when the H-polytope of the exponents' support
-    values holds the exponents alone; otherwise ``lattice_points``
-    decides."""
+    values holds the exponents alone, and the greedy certificate after a
+    miss; otherwise the hull is built and ``contains`` decides each point
+    of that one enumeration of H(h)."""
 
-    def _spy(self, monkeypatch):
+    def _spy(self, monkeypatch, name):
         calls = []
-        monkeypatch.setattr(polytope, "lattice_points", lambda p: calls.append(p) or lattice_points(p))
+        real = getattr(polytope, name)
+        monkeypatch.setattr(polytope, name, lambda *args: calls.append(args) or real(*args))
         return calls
 
     def test_sandwich_answers_a_key(self, monkeypatch):
-        calls = self._spy(monkeypatch)
+        hulls = self._spy(monkeypatch, "newton_polytope")
         assert newton_lattice_points(key_polynomial((1, 3, 2))) == closure((1, 3, 2))
-        assert calls == []
+        assert hulls == []
 
     def test_certificate_answers_without_a_hull(self, monkeypatch):
         # H(h) of x1^2 + x2^2 also holds (1, 1), so the sandwich misses,
         # but both greedy vertices, (2, 0) and (0, 2), are exponents.
-        calls = self._spy(monkeypatch)
         monkeypatch.setattr(polytope, "newton_polytope", lambda f: pytest.fail("a hull was built"))
         assert newton_lattice_points(SparsePolynomial(2, {(2, 0): 1, (0, 2): 1})) == {(2, 0), (1, 1), (0, 2)}
-        assert calls == []
 
     def test_saturated_but_missed_by_the_sandwich(self, monkeypatch):
         # The segment from (2, 0, 0) to (0, 1, 1) has no lattice point
@@ -353,17 +380,19 @@ class TestNewtonLatticePoints:
         exps = f.exponents()
         h = polytope._support_values(exps)
         assert polytope._support_lattice_points(3, h) == exps | {(1, 1, 0), (1, 0, 1)}
-        calls = self._spy(monkeypatch)
+        hulls = self._spy(monkeypatch, "newton_polytope")
         assert newton_lattice_points(f) == exps
-        assert calls == [newton_polytope(f)]
+        assert hulls == [(f,)]
         assert snp_check(f)
 
     def test_unsaturated_hull_gets_its_lattice_points(self, monkeypatch):
         f = SparsePolynomial(3, {(2, 0, 1): 1, (0, 1, 2): 1, (1, 2, 0): 1})
-        calls = self._spy(monkeypatch)
+        hulls = self._spy(monkeypatch, "newton_polytope")
+        enumerations = self._spy(monkeypatch, "_support_lattice_points")
         points = newton_lattice_points(f)
-        assert points == lattice_points(newton_polytope(f)) == f.exponents() | {(1, 1, 1)}
-        assert calls == [newton_polytope(f)]
+        assert points == f.exponents() | {(1, 1, 1)} and len(points) == 4
+        assert hulls == [(f,)] and len(enumerations) == 1
+        assert points == lp_lattice_points(newton_polytope(f))
         assert not snp_check(f)
 
     def test_two_coordinate_sums_fall_back(self):
@@ -431,19 +460,14 @@ def _random_instance(rng):
 
 
 class TestReferenceSimplex:
-    def test_suite_instances_match_reference(self, monkeypatch, lp_only):
-        instances = []
-
-        def record(p, point):
-            instances.append((p, tuple(point)))
-            return contains(p, point)
-
-        monkeypatch.setattr(polytope, "contains", record)
-        # The Newton polytopes of theorem11's sweep, built here because
-        # the suite reaches an LP only when the sandwich misses.
+    def test_suite_instances_match_reference(self, monkeypatch):
+        instances = spy_contains(monkeypatch)
+        # The Newton polytopes of theorem11's sweep, built here and
+        # scanned by the LP oracle, because the suite reaches an LP only
+        # when the sandwich misses.
         for alpha in full_family(3, 3):
             exps = exponent_vectors(key_polynomial(alpha))
-            assert lattice_points(VPolytope.from_points(len(alpha), exps)) == exps
+            assert lp_lattice_points(VPolytope.from_points(len(alpha), exps)) == exps
         assert verify.suite_rado(3, 3).passed
         assert len(instances) == 861
         for p, point in dict.fromkeys(instances):
@@ -487,13 +511,16 @@ class TestCertificates:
             with pytest.raises(polytope.CertificateError):
                 polytope._check_separation(square, (2, 2), 1, bad)
 
-    def test_support_rejected_without_asserts(self):
+    def test_support_rejected_without_asserts(self, monkeypatch):
         """A triangle in x + y + z = 3 with no edge along any e_i - e_j is
         proven by neither the sandwich nor the greedy certificate, and its
-        lattice points still come out right, through the LP."""
+        lattice points still come out right, through the LP on each of
+        the 7 points of H(h)."""
         triangle = VPolytope.from_points(3, [(2, 0, 1), (0, 1, 2), (1, 2, 0)])
-        assert polytope._proven_lattice_points(3, triangle._generator_set) is None
+        assert not certified(triangle)
+        asked = spy_contains(monkeypatch)
         assert lattice_points(triangle) == {(2, 0, 1), (0, 1, 2), (1, 2, 0), (1, 1, 1)}
+        assert len(asked) == 7
 
     def test_crash_basis_checked_without_asserts(self, monkeypatch):
         """The crash basis answers a point it fits with no pivot, and a
@@ -702,12 +729,13 @@ class TestSupport:
         assert polytope._support_values(p.generators) == tuple(sum(lam[: bin(s).count("1")]) for s in range(16))
         assert certified(p)
 
-    def test_zero_and_one_dimensional(self):
+    def test_zero_and_one_dimensional(self, monkeypatch):
         assert polytope._support_values({()}) == (0,)
         assert polytope._support_values({(3,)}) == (0, 3)
-        assert polytope._proven_lattice_points(0, {()}) == {()}
-        assert polytope._proven_lattice_points(1, {(3,)}) == {(3,)}
+        monkeypatch.setattr(polytope, "contains", lambda q, c: pytest.fail("the LP ran"))
+        assert lattice_points(VPolytope.from_points(0, [()])) == {()}
         assert lattice_points(VPolytope.from_points(1, [(3,)])) == {(3,)}
+        assert newton_lattice_points(SparsePolynomial.monomial((3,))) == {(3,)}
 
     @pytest.mark.parametrize(
         "generators",
@@ -728,8 +756,6 @@ class TestSupport:
     def test_uncertified_hulls_fall_back_to_the_lp(self, generators):
         p = VPolytope.from_points(len(generators[0]), generators)
         assert not certified(p)
-        proven = polytope._proven_lattice_points(p.n, p._generator_set)
-        assert proven is None or proven == p._generator_set
         box = product(*[range(lo, hi + 1) for lo, hi in zip(*p._box)])
         assert lattice_points(p) == {c for c in box if reference_feasible(p.generators, c)}
 
@@ -742,7 +768,7 @@ class TestSupport:
         for alpha in full_family(4, 4):
             exps = exponent_vectors(key_polynomial(alpha))
             p = VPolytope.from_points(len(alpha), exps)
-            assert polytope._proven_lattice_points(p.n, exps) == exps and certified(p), alpha
+            assert polytope._lattice_points(p.n, exps, p) is exps and certified(p), alpha
             points = lattice_points(p)
             assert points == lp_lattice_points(p) == newton_lattice_points(key_polynomial(alpha)) == exps, alpha
             if len(alpha) <= 3 and max(alpha) <= 3:
@@ -850,9 +876,7 @@ class TestOrbitReduction:
         ``contains`` once, since a permutohedron's generators form one
         orbit, and answers as the scan of all of p's generators does,
         both by ``contains`` and by the Fraction reference."""
-        asked = []
-        real_contains = polytope.contains
-        monkeypatch.setattr(polytope, "contains", lambda q, g: asked.append(g) or real_contains(q, g))
+        asked = spy_contains(monkeypatch)
         answers = []
         real_subset = verify.polytope_subset
 
@@ -867,7 +891,7 @@ class TestOrbitReduction:
         assert len(answers) == 609
         for p, q, answer, calls in answers:
             assert q._symmetric and calls == 1, (p, q)
-            assert answer == all(real_contains(q, g) for g in p.generators), (p, q)
+            assert answer == all(contains(q, g) for g in p.generators), (p, q)
             assert answer == all(reference_feasible(q.generators, g) for g in p.generators), (p, q)
 
     @_RANDOM

@@ -517,9 +517,9 @@ def _double_leading_coefficients(monkeypatch):
 
 
 def _support_without_greedy_check(monkeypatch):
-    """``_proven_lattice_points`` returns the lattice points of H(h) for
-    every generator set that shares a coordinate sum, greedy vertices or
-    not: there are no greedy vertices to check."""
+    """``_lattice_points`` returns the lattice points of H(h), with no
+    ``contains`` call, for every generator set that shares a coordinate
+    sum, greedy vertices or not: there are no greedy vertices to check."""
     monkeypatch.setattr(polytope, "_greedy_chains", lambda n: ())
 
 
