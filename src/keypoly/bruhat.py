@@ -15,7 +15,7 @@ from functools import cache
 from itertools import permutations
 from operator import le
 
-from .polynomial import exponent_vectors, key_polynomial
+from .polynomial import key_polynomial
 from .polytope import VPolytope, lattice_points
 
 __all__ = [
@@ -99,4 +99,4 @@ def verify_qww0(w: Sequence[int]) -> bool:
     """
     t = check_permutation(w)
     interval = interval_polytope(t, longest_element(len(t)))
-    return lattice_points(interval) == exponent_vectors(key_polynomial(t))
+    return lattice_points(interval) == key_polynomial(t).terms.keys()

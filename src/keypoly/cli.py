@@ -42,7 +42,7 @@ def _key(args):
 
 
 def _exponents(args):
-    exps = sorted(key_polynomial(args.alpha).exponents(), reverse=True)
+    exps = sorted(key_polynomial(args.alpha).terms.keys(), reverse=True)
     return [list(e) for e in exps], 0
 
 

@@ -219,14 +219,11 @@ def optimize(f: Filling) -> Filling:
 def _locate_stray(f: Filling) -> tuple[int, int, int]:
     """Topmost row j holding an entry different from j, then the leftmost
     such entry i in that row, at box (j, h).  Returns (i, j, h)."""
-    n = f.diagram.n
-    for j in range(1, n + 1):
-        for h in range(1, n + 1):
-            if f.diagram.has_box(j, h):
-                value = f.entry(j, h)
-                if value != j:
-                    return (value, j, h)
-    raise ValueError("every entry equals its row index")
+    stray = min(((j, h, i) for j, h, i in f.entries() if i != j), default=None)
+    if stray is None:
+        raise ValueError("every entry equals its row index")
+    j, h, i = stray
+    return (i, j, h)
 
 
 def promote_entry(f: Filling, i: int, j: int, h: int) -> Filling:

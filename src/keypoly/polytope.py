@@ -467,7 +467,7 @@ def newton_lattice_points(f: SparsePolynomial) -> set[tuple[int, ...]]:
 
 def snp_check(f: SparsePolynomial) -> bool:
     """Whether every lattice point of Newton(f) is an exponent vector of f."""
-    return f.is_zero() or newton_lattice_points(f) == f.exponents()
+    return f.is_zero() or newton_lattice_points(f) == f.terms.keys()
 
 
 def polytope_subset(p: VPolytope, q: VPolytope) -> bool:

@@ -24,9 +24,11 @@ lattice side to be empty and the closure side records the loss.
 
 ``theorem11`` and ``rado`` take their move closures from
 ``class_closures``, one (length, sum) class at a time, as bitmasks over
-the class; the other side is encoded into the same bits, and only a
-difference is decoded into a failure record.  The records of one length
-are reported after it, sorted by alpha, so in sweep order.
+the class; the other side is tested against the bits as it stands, and
+only a difference is decoded into a failure record.  The records of one
+length are reported after it, sorted by alpha, so in sweep order.
+``theorem11`` and ``bruhat`` read a key's exponents through the same
+dict-keys view as ``kk`` and ``ccc``.
 ``theorem11``'s lattice side is ``newton_lattice_points``: the lattice
 points of the H-polytope of the exponents' support values, when the
 sandwich (they are exactly the exponents) or, after a miss, the greedy
@@ -61,7 +63,7 @@ from .bruhat import verify_qww0
 from .diagram import Diagram, lower_monomials, skyline
 from .filling import enumerate_fillings, enumerate_sorted_fillings, weight, weight_set
 from .moves import _partitions, class_closures, dominance_leq, dominated_rearrangements
-from .polynomial import exponent_vectors, key_polynomial
+from .polynomial import key_polynomial
 from .polytope import VPolytope, newton_lattice_points, polytope_subset
 
 __all__ = ["SUITE_NAMES", "SuiteResult", "VerificationReport", "run_verification"]
@@ -156,26 +158,20 @@ def _closures(n: int, part_max: int):
     of alpha, else label with the symmetric difference.
 
     The closures come from ``class_closures``, one (length, sum) class at
-    a time, as bitmasks.  other is encoded into the same bits, through
-    the mask's binary digits, and only a difference decodes the closure.
+    a time, as bitmasks in which bit k stands for the class's k-th vector.
+    other is the closure exactly when it has as many vectors as the mask
+    has bits set and the mask has the bit of each of them; only a
+    difference decodes the closure.
     """
     for total in range(n * part_max + 1):
         vectors, masks = class_closures(n, part_max, total)
-        size = len(vectors)
-        # Bit k of a mask is binary digit size - 1 - k, most significant first.
-        digit = {v: size - 1 - k for k, v in enumerate(vectors)}
+        bit = {v: 1 << k for k, v in enumerate(vectors)}
         for alpha, mask in zip(vectors, masks):
 
             def differs(label, other, mask=mask):
-                digits = bytearray(b"0") * size
-                for v in other:
-                    if v not in digit:
-                        break
-                    digits[digit[v]] = 49  # ord("1")
-                else:
-                    if int(digits, 2) == mask:
-                        return None
-                return _set_failure(label, {v for k, v in enumerate(vectors) if mask >> k & 1}, other)
+                if len(other) == mask.bit_count() and all(mask & bit.get(v, 0) for v in other):
+                    return None
+                return _set_failure(label, {v for v, b in bit.items() if mask & b}, other)
 
             yield alpha, differs
 
@@ -186,7 +182,7 @@ def suite_theorem11(n_max: int, part_max: int) -> SuiteResult:
             failures = []
             for alpha, differs in _closures(n, part_max):
                 key = key_polynomial(alpha)
-                exps = exponent_vectors(key)
+                exps = key.terms.keys()
                 # A zero key has no Newton polytope; its empty exponent
                 # set then fails the closure side with a record.
                 points = newton_lattice_points(key) if exps else set()
@@ -239,8 +235,7 @@ def suite_rado(n_max: int, part_max: int) -> SuiteResult:
             for alpha, differs in _closures(n, part_max):
                 if any(alpha[k] > alpha[k + 1] for k in range(n - 1)):
                     continue
-                lam = tuple(sorted(alpha, reverse=True))
-                record = differs({"kind": "closure", "alpha": list(alpha)}, dominated_rearrangements(lam))
+                record = differs({"kind": "closure", "alpha": list(alpha)}, dominated_rearrangements(alpha[::-1]))
                 if record is None:
                     yield None
                 else:
@@ -249,7 +244,7 @@ def suite_rado(n_max: int, part_max: int) -> SuiteResult:
         n = n_max
         for total in range(_PAIR_SUM_CAP + 1):
             parts = list(_partitions(total, total, n))
-            polytopes = [VPolytope.from_points(n, set(permutations(p))) for p in parts]
+            polytopes = [VPolytope.from_points(n, permutations(p)) for p in parts]
             for mu, p_mu in zip(parts, polytopes):
                 for lam, p_lam in zip(parts, polytopes):
                     subset = polytope_subset(p_mu, p_lam)

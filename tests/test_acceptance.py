@@ -7,7 +7,7 @@ criterion is printed by the terminal-summary hook in conftest.py.
 
 import random
 import time
-from itertools import permutations, product
+from itertools import permutations
 
 from keypoly.bruhat import verify_qww0
 from keypoly.diagram import enumerate_lower_diagrams, monomial_of_diagram, skyline
@@ -37,7 +37,7 @@ from keypoly.polynomial import (
     key_polynomial,
 )
 from keypoly.polytope import VPolytope, lattice_points, polytope_subset
-from keypoly.verify import suite_aa
+from keypoly.verify import composition_family, suite_aa
 from worked_examples import EXCHANGE_EXAMPLE, PROMOTE_EXAMPLE, full_family, rand_poly
 
 WORKED_KEY_TERMS = {
@@ -47,14 +47,6 @@ WORKED_KEY_TERMS = {
     (2, 2, 2): 1,
     (1, 3, 2): 1,
 }
-
-
-def skyline_family(n_max, part_max):
-    """Compositions with length <= n_max and parts <= min(part_max, n);
-    the cap by n keeps every skyline inside its grid."""
-    for n in range(1, n_max + 1):
-        for alpha in product(range(min(part_max, n) + 1), repeat=n):
-            yield alpha
 
 
 def test_criterion_01_worked_key_expansion():
@@ -71,14 +63,14 @@ def test_criterion_01_worked_key_expansion():
 
 def test_criterion_02_filling_weights_equal_exponents():
     t0 = time.perf_counter()
-    for alpha in skyline_family(4, 4):
+    for alpha in composition_family(4, 4):
         weights = {weight(f) for f in enumerate_fillings(skyline(alpha))}
         assert weights == exponent_vectors(key_polynomial(alpha)), alpha
     assert time.perf_counter() - t0 < 60
 
 
 def test_criterion_03_lower_diagram_monomials_equal_exponents():
-    for alpha in skyline_family(4, 4):
+    for alpha in composition_family(4, 4):
         monomials = {monomial_of_diagram(c) for c in enumerate_lower_diagrams(skyline(alpha))}
         assert monomials == exponent_vectors(key_polynomial(alpha)), alpha
 
@@ -101,7 +93,7 @@ def test_criterion_05_weight_sets_of_sorted_and_all_fillings():
 
 
 def test_criterion_06_descent_step_suite():
-    for alpha in skyline_family(3, 3):
+    for alpha in composition_family(3, 3):
         d = skyline(alpha)
         for f in enumerate_fillings(d):
             w = weight(f)
@@ -180,7 +172,7 @@ def test_criterion_09_operator_algebra():
 
 
 def test_criterion_10_witness_round_trip():
-    for alpha in skyline_family(3, 3):
+    for alpha in composition_family(3, 3):
         for beta in closure(alpha):
             ok, chain = leq_kappa(beta, alpha)
             assert ok

@@ -22,7 +22,8 @@ from keypoly.diagram import (
     subset_leq,
 )
 from keypoly.polynomial import exponent_vectors, key_polynomial
-from worked_examples import GRID4_DIAGRAM, GRID5_DIAGRAM, random_diagram
+from keypoly.verify import random_diagram
+from worked_examples import GRID4_DIAGRAM, GRID5_DIAGRAM
 
 
 def lower_subsets_oracle(s, n):

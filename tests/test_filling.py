@@ -31,6 +31,7 @@ from keypoly.filling import (
 )
 from keypoly.moves import Move, MoveChain, MoveError, apply_move, closure, leq_kappa
 from keypoly.polynomial import exponent_vectors, key_polynomial
+from keypoly.verify import composition_family, random_diagram
 from worked_examples import (
     EXCHANGE_EXAMPLE,
     GRID4_DIAGRAM,
@@ -39,7 +40,6 @@ from worked_examples import (
     GRID5_SCRAMBLED,
     GRID5_SORTED,
     PROMOTE_EXAMPLE,
-    random_diagram,
 )
 
 
@@ -384,6 +384,28 @@ class TestLemmaStep:
             promote_entry(f, 2, 2, 1)  # box (2,1) holds 1, not 2
         with pytest.raises(ValueError):
             promote_entry(f, 1, 2, 1)  # column 1 already contains 2
+
+
+def locate_stray_by_grid(f: Filling) -> tuple[int, int, int]:
+    """Oracle for ``_locate_stray``: probe the n x n grid row by row."""
+    n = f.diagram.n
+    for j in range(1, n + 1):
+        for h in range(1, n + 1):
+            if f.diagram.has_box(j, h) and f.entry(j, h) != j:
+                return (f.entry(j, h), j, h)
+    raise AssertionError("no stray entry")
+
+
+class TestLocateStray:
+    def test_matches_the_grid_scan(self):
+        for alpha in composition_family(3, 3):
+            for f in enumerate_fillings(skyline(alpha)):
+                if any(value != row for row, _, value in f.entries()):
+                    assert filling._locate_stray(f) == locate_stray_by_grid(f), f
+
+    def test_row_index_filling_has_none(self):
+        with pytest.raises(ValueError, match="every entry equals its row index"):
+            filling._locate_stray(row_index_filling(skyline((1, 3, 2))))
 
 
 class TestDescendToAlpha:

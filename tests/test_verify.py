@@ -1,9 +1,14 @@
-"""Tests for the verify harness: suite dispatch and the n=5 sumset sweeps."""
+"""Tests for the verify harness: suite dispatch, the closure comparison
+and the n=5 sumset sweeps."""
 
 import re
+from itertools import product
 
 import pytest
 
+from keypoly import verify
+from keypoly.moves import closure
+from keypoly.polynomial import SparsePolynomial
 from keypoly.verify import SUITE_NAMES, run_verification, suite_ccc, suite_kk
 
 
@@ -53,3 +58,45 @@ def test_sumset_suites_at_n5(suite):
     result = suite(5, 3)
     assert result.checked == 1355
     assert result.passed, result.failures
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closures_compare_like_sets(n):
+    """``_closures`` against the BFS ``closure``, which shares no code
+    with ``class_closures``.  Each changed set differs from the closure
+    in one way; the swap keeps its size, so only the bit test catches
+    it."""
+    checked = 0
+    for alpha, differs in verify._closures(n, 3):
+        label = {"alpha": list(alpha)}
+        reach = closure(alpha)
+        assert differs(label, reach) is None
+        assert differs(label, dict.fromkeys(reach).keys()) is None
+        outside = [v for v in product(range(4), repeat=n) if sum(v) == sum(alpha) and v not in reach]
+        changed = [reach - {max(reach)}, reach | {(alpha[0] + 1, *alpha[1:])}]
+        if outside:
+            changed += [reach | {outside[0]}, reach - {max(reach)} | {outside[0]}]
+        for other in changed:
+            assert differs(label, other) == verify._set_failure(label, reach, other), (alpha, other)
+        checked += 1
+    assert checked == 4**n
+
+
+def test_sweeps_read_key_exponents_without_a_copy(monkeypatch):
+    """theorem11 copies a key's exponents only in ``newton_lattice_points``,
+    which may return that copy, and bruhat never copies them."""
+    calls = []
+    exponents = SparsePolynomial.exponents
+
+    def spy(self):
+        calls.append(self)
+        return exponents(self)
+
+    monkeypatch.setattr(SparsePolynomial, "exponents", spy)
+    result = verify.suite_theorem11(3, 3)
+    assert result.passed and result.checked == 4 + 16 + 64
+    assert len(calls) == result.checked
+    calls.clear()
+    result = verify.suite_bruhat(4)
+    assert result.passed and result.checked == 1 + 2 + 6 + 24
+    assert calls == []

@@ -26,7 +26,6 @@ __all__ = [
     "EXCHANGE_EXAMPLE",
     "full_family",
     "rand_poly",
-    "random_diagram",
 ]
 
 
@@ -47,11 +46,6 @@ def rand_poly(rng, n=4, max_terms=10, max_deg=5) -> SparsePolynomial:
                 break
         terms[exp] = rng.choice([c for c in range(-9, 10) if c])
     return SparsePolynomial(n, terms)
-
-
-def random_diagram(rng, n: int) -> Diagram:
-    """An n x n diagram with each box present with probability 1/2."""
-    return Diagram.make(n, [[r for r in range(1, n + 1) if rng.random() < 0.5] for _ in range(n)])
 
 
 def _filling(d: Diagram, by_column: list[dict[int, int]]) -> Filling:
