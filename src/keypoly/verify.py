@@ -11,16 +11,29 @@ that the underlying theory says coincide:
                and permutohedron inclusion vs dominance
 * ``bruhat``   key exponents vs interval polytope lattice points
 
-``kk`` and ``ccc`` get their sets as columnwise sumsets (``lower_monomials``,
-``weight_set``) without building any diagram or filling.  Each distinct
-column's steps are built once per process, keyed by the subsets function
-looked up at call time, so a replaced enumerator is never answered from
-another's steps.  Each skyline is built without checking its columns
-again, and the sumset is compared with the dict-keys view of the key's
-terms, which compares with a set in C; a set of the exponents is built
-only for a failure record.  ``aa`` compares explicitly enumerated
-fillings.  A zero key has no Newton polytope, so ``theorem11`` takes its
-lattice side to be empty and the closure side records the loss.
+``kk`` and ``ccc`` are one sweep of the skylines, run once when either
+or both are named.  Each alpha gets one skyline, built without checking
+its columns again, one ``lower_monomials`` sum and one dict-keys view of
+its key's terms, which compares with a set in C; kk's record comes from
+these, and a set of the exponents is built only for a failure record.
+The sums are columnwise sumsets built without any diagram or filling:
+``lower_monomials`` folds each column's ``lower_subsets``, and
+``weight_set`` would fold the value sets of its ``_column_assignments``,
+which are the same sets (the identity behind ``enumerate_sorted_fillings``).
+So ccc takes kk's record wherever each column of the skyline has the
+same steps under the two enumerators, looked up at call time and
+compared once per distinct column; only a column that differs, as under a
+fault planted in either enumerator, makes ccc build its own
+``weight_set``.  A fault in ``lower_monomials``' own body, outside the
+step sets, therefore shows in both suites, and ``weight_set``'s body is
+left to its own tests.  Each suite's ``wall_time_s`` is the time of its
+own part of the sweep; ccc named without kk takes the shared part too.
+Each distinct column's steps are built once per process, keyed by the
+subsets function looked up at call time, so a replaced enumerator is
+never answered from another's steps.  ``aa`` compares explicitly
+enumerated fillings.  A zero key has no Newton polytope, so
+``theorem11`` takes its lattice side to be empty and the closure side
+records the loss.
 
 ``theorem11`` and ``rado`` take their move closures from
 ``class_closures``, one (length, sum) class at a time, as bitmasks over
@@ -59,6 +72,7 @@ from dataclasses import dataclass, field
 from itertools import permutations, product
 from operator import itemgetter
 
+from . import diagram, filling
 from .bruhat import verify_qww0
 from .diagram import Diagram, lower_monomials, skyline
 from .filling import enumerate_fillings, enumerate_sorted_fillings, weight, weight_set
@@ -128,28 +142,76 @@ def _run_suite(name, description, checks) -> SuiteResult:
     )
 
 
-def _skyline_suite(name: str, description: str, n_max: int, part_max: int, side) -> SuiteResult:
-    """Compare ``side(skyline(alpha))`` with the key exponents of alpha
-    over the skyline sweep, through the dict-keys view of the key's
-    terms; a set of them is built only for a failure record."""
+def _sumset_suites(n_max: int, part_max: int, names) -> list[SuiteResult]:
+    """kk's and ccc's results, in that order, from one sweep of
+    ``composition_family``; ccc's part runs, and its result means
+    anything, only when ``names`` holds it.
 
-    def run():
-        for alpha in composition_family(n_max, part_max):
-            lhs = side(skyline(alpha))
-            exps = key_polynomial(alpha).terms.keys()
-            yield None if lhs == exps else _set_failure({"alpha": list(alpha)}, lhs, set(exps))
+    Each alpha gets one skyline, one ``lower_monomials`` sum and one view
+    of its key's exponents, and kk's record comes from them.  ccc's record
+    is kk's whenever ``_same_steps`` finds that each column has the same
+    steps under both enumerators, since the two sums then fold the same
+    steps; only otherwise is ``weight_set`` built.  kk's time is the
+    shared part of the sweep and ccc's its own, plus the shared part when
+    kk is not named.
+    """
+    kk = SuiteResult("kk", "lower-diagram monomials == key exponents", True, 0, 0.0)
+    ccc = SuiteResult("ccc", "filling weights == key exponents", True, 0, 0.0)
+    checked = 0
+    for alpha in composition_family(n_max, part_max):
+        start = time.perf_counter()
+        d = skyline(alpha)
+        label, exps = {"alpha": list(alpha)}, key_polynomial(alpha).terms.keys()
+        record = _set_failure(label, lower_monomials(d), exps)
+        if record is not None:
+            kk.failures.append(record)
+        middle = time.perf_counter()
+        if "ccc" in names:
+            if not _same_steps(d):
+                record = _set_failure(label, weight_set(d), exps)
+            if record is not None:
+                ccc.failures.append(record)
+        checked += 1
+        kk.wall_time_s += middle - start
+        ccc.wall_time_s += time.perf_counter() - middle
+    kk.checked = ccc.checked = checked
+    kk.passed, ccc.passed = not kk.failures, not ccc.failures
+    if "kk" not in names:
+        ccc.wall_time_s += kk.wall_time_s
+    return [kk, ccc]
 
-    return _run_suite(name, description, run())
+
+# (lower_subsets, _column_assignments, rows, n) -> whether the two give
+# the column the same steps.  The enumerators are those looked up at call
+# time, as in ``diagram._STEPS``, so a replaced one is never answered
+# from the other's comparison.
+_SAME_STEPS: dict[tuple, bool] = {}
+
+
+def _same_steps(d: Diagram) -> bool:
+    """Whether every column of d has the same steps, as sorted row tuples,
+    under ``filling._column_assignments`` as under ``diagram.lower_subsets``.
+    Equal sorted tuples are equal indicators, so ``weight_set(d)`` and
+    ``lower_monomials(d)`` then fold the same steps."""
+    lower, assign, n = diagram.lower_subsets, filling._column_assignments, d.n
+    for rows in d.columns:
+        key = (lower, assign, rows, n)
+        same = _SAME_STEPS.get(key)
+        if same is None:
+            same = _SAME_STEPS[key] = set(map(tuple, map(sorted, assign(rows)))) == set(
+                map(tuple, map(sorted, lower(rows, n)))
+            )
+        if not same:
+            return False
+    return True
 
 
 def suite_kk(n_max: int, part_max: int) -> SuiteResult:
-    return _skyline_suite(
-        "kk", "lower-diagram monomials == key exponents", n_max, part_max, lower_monomials
-    )
+    return _sumset_suites(n_max, part_max, ("kk",))[0]
 
 
 def suite_ccc(n_max: int, part_max: int) -> SuiteResult:
-    return _skyline_suite("ccc", "filling weights == key exponents", n_max, part_max, weight_set)
+    return _sumset_suites(n_max, part_max, ("ccc",))[1]
 
 
 def _closures(n: int, part_max: int):
@@ -168,7 +230,7 @@ def _closures(n: int, part_max: int):
         bit = {v: 1 << k for k, v in enumerate(vectors)}
         for alpha, mask in zip(vectors, masks):
 
-            def differs(label, other, mask=mask):
+            def differs(label, other, mask=mask, bit=bit):
                 if len(other) == mask.bit_count() and all(mask & bit.get(v, 0) for v in other):
                     return None
                 return _set_failure(label, {v for v, b in bit.items() if mask & b}, other)
@@ -279,15 +341,18 @@ def suite_bruhat(n_max: int) -> SuiteResult:
     )
 
 
-# name -> suite(n_max, part_max); the suites are looked up by name at
-# call time, so wrappers installed on this module's attributes apply.
+# name -> suites(n_max, part_max, names): a list of results that holds
+# this suite's, given every name the run asks for; kk and ccc share one
+# sweep, and only the named results are reported.  The functions are
+# looked up by name at call time, so wrappers installed on this module's
+# attributes apply.
 _SUITES = {
-    "kk": lambda n_max, part_max: suite_kk(n_max, part_max),
-    "ccc": lambda n_max, part_max: suite_ccc(n_max, part_max),
-    "theorem11": lambda n_max, part_max: suite_theorem11(n_max, part_max),
-    "aa": lambda n_max, part_max: suite_aa(n_max),
-    "rado": lambda n_max, part_max: suite_rado(n_max, part_max),
-    "bruhat": lambda n_max, part_max: suite_bruhat(n_max),
+    "kk": lambda n_max, part_max, names: _sumset_suites(n_max, part_max, names),
+    "ccc": lambda n_max, part_max, names: _sumset_suites(n_max, part_max, names),
+    "theorem11": lambda n_max, part_max, names: [suite_theorem11(n_max, part_max)],
+    "aa": lambda n_max, part_max, names: [suite_aa(n_max)],
+    "rado": lambda n_max, part_max, names: [suite_rado(n_max, part_max)],
+    "bruhat": lambda n_max, part_max, names: [suite_bruhat(n_max)],
 }
 SUITE_NAMES = tuple(_SUITES)
 
@@ -311,7 +376,12 @@ def run_verification(
     _check_run(n_max, part_max, suite_names)
     start = time.perf_counter()
     # A repeated name runs once, in first-seen order.
-    results = [_SUITES[name](n_max, part_max) for name in dict.fromkeys(suite_names)]
+    names = tuple(dict.fromkeys(suite_names))
+    done = {}
+    for name in names:
+        if name not in done:
+            done.update((r.name, r) for r in _SUITES[name](n_max, part_max, names))
+    results = [done[name] for name in names]
     elapsed = time.perf_counter() - start
     return VerificationReport(
         n_max=n_max,

@@ -6,7 +6,7 @@ implementation never sees this path.
 """
 
 import random
-from itertools import product
+from itertools import compress, product
 
 import pytest
 from hypothesis import given, settings
@@ -271,6 +271,22 @@ class TestWeightSet:
         assert weight_set(d) == expected
         first.clear()
         assert weight_set(d) == expected
+
+    def test_column_value_sets_are_the_lower_subsets(self):
+        # The identity that lets verify's ccc take kk's sum: a column's
+        # assignments have as value sets exactly its lower subsets.
+        for n in range(1, 9):
+            for kept in product((False, True), repeat=n):
+                rows = tuple(compress(range(1, n + 1), kept))
+                values = {frozenset(v) for v in filling._column_assignments(rows)}
+                assert values == set(map(frozenset, diagram.lower_subsets(rows, n))), rows
+
+    def test_equals_lower_monomials_on_every_skyline_of_4_4(self):
+        # verify's ccc calls weight_set only when a column's steps differ
+        # from kk's, so this guards the body that passing sweeps skip.
+        for alpha in composition_family(4, 4):
+            d = skyline(alpha)
+            assert weight_set(d) == lower_monomials(d), alpha
 
     def test_a_planted_lower_subsets_leaves_it_unchanged(self, monkeypatch):
         d = skyline((1, 2, 0, 1))

@@ -498,6 +498,41 @@ def test_sumset_suites_catch_their_enumerators_with_a_warm_step_memo(monkeypatch
         {"alpha": [1, 1], "equal": False, "only_lhs": [], "only_rhs": [(1, 1)]},
     ]
 
+# The enumerator each sumset suite folds, and a one-token fault in it
+# that empties the lower set of a column with row k in its k-th box.
+_ENUMERATOR_FAULTS = {
+    "kk": (diagram, "lower_subsets", "bound + 1)", "bound)"),
+    "ccc": (filling, "_column_assignments", "range(1, row + 1)", "range(1, row)"),
+}
+
+
+@pytest.mark.parametrize("broken", ["kk", "ccc"])
+def test_the_shared_sweep_charges_a_planted_enumerator_to_its_own_suite(monkeypatch, broken):
+    # run_verification sweeps kk and ccc together, and ccc takes kk's
+    # record wherever each column has the same steps under both
+    # enumerators, so a fault in either must make its columns differ.
+    # The clean run first leaves both step memos warm.
+    assert verify.run_verification(2, 1, ("kk", "ccc")).passed
+    module, name, old, new = _ENUMERATOR_FAULTS[broken]
+    monkeypatch.setattr(module, name, _mutant(getattr(module, name), old, new))
+    report = verify.run_verification(2, 1, ("kk", "ccc"))
+    assert [s.name for s in report.suites] == ["kk", "ccc"]
+    for suite in report.suites:
+        assert suite.checked == 2 + 4 and suite.passed == (suite.name != broken)
+        assert suite.failures == (
+            [
+                {"alpha": list(alpha), "equal": False, "only_lhs": [], "only_rhs": [alpha]}
+                for alpha in [(1,), (0, 1), (1, 0), (1, 1)]
+            ]
+            if suite.name == broken
+            else []
+        )
+    # ccc named alone gives what it gave beside kk, apart from its time.
+    (alone,) = verify.run_verification(2, 1, ("ccc",)).suites
+    alone.wall_time_s = report.suites[1].wall_time_s
+    assert alone == report.suites[1]
+
+
 # Faults that no suite catches yet.  Each row runs every suite at
 # n = 4, parts = 4, and is a strict xfail: the suite that would catch it
 # turns the row into a required failure.

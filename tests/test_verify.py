@@ -20,7 +20,7 @@ def test_dispatch_runs_every_suite_in_order():
 
 
 def test_unknown_suite_raises_before_running_any(monkeypatch):
-    monkeypatch.setattr("keypoly.verify.suite_kk", lambda *args: pytest.fail("kk ran"))
+    monkeypatch.setattr("keypoly.verify._sumset_suites", lambda *args: pytest.fail("kk ran"))
     with pytest.raises(ValueError, match="unknown suite 'nope'"):
         run_verification(1, 1, ("kk", "nope"))
 
@@ -35,6 +35,26 @@ def test_a_repeated_suite_runs_once_in_first_seen_order():
     assert [s.name for s in report.suites] == ["aa", "kk"] and report.passed
 
 
+def test_kk_and_ccc_report_in_the_order_named():
+    report = run_verification(2, 2, ("ccc", "kk"))
+    assert [s.name for s in report.suites] == ["ccc", "kk"] and report.passed
+    assert [s.checked for s in report.suites] == [11, 11]
+
+
+def test_the_sumset_sweep_runs_once_for_kk_and_ccc(monkeypatch):
+    calls = []
+    sweep = verify._sumset_suites
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(verify, "_sumset_suites", counted)
+    report = run_verification(2, 2, ("kk", "aa", "ccc"))
+    assert [s.name for s in report.suites] == ["kk", "aa", "ccc"] and report.passed
+    assert calls == [(2, 2, ("kk", "aa", "ccc"))]
+
+
 @pytest.mark.parametrize(
     "n_max, part_max, message",
     [
@@ -47,7 +67,7 @@ def test_a_repeated_suite_runs_once_in_first_seen_order():
     ],
 )
 def test_sizes_that_check_nothing_are_refused(monkeypatch, n_max, part_max, message):
-    monkeypatch.setattr("keypoly.verify.suite_kk", lambda *args: pytest.fail("kk ran"))
+    monkeypatch.setattr("keypoly.verify._sumset_suites", lambda *args: pytest.fail("kk ran"))
     with pytest.raises(ValueError, match=re.escape(message)):
         run_verification(n_max, part_max)
 
@@ -58,6 +78,14 @@ def test_sumset_suites_at_n5(suite):
     result = suite(5, 3)
     assert result.checked == 1355
     assert result.passed, result.failures
+
+
+def test_ccc_builds_no_weight_set_on_passing_input(monkeypatch):
+    """Every column's steps agree with kk's, so ccc takes each of kk's
+    answers and never folds its own sum."""
+    monkeypatch.setattr(verify, "weight_set", lambda d: pytest.fail(f"weight_set ran on {d.columns}"))
+    result = suite_ccc(4, 4)
+    assert result.passed and result.checked == 2 + 9 + 64 + 625
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -80,6 +108,16 @@ def test_closures_compare_like_sets(n):
             assert differs(label, other) == verify._set_failure(label, reach, other), (alpha, other)
         checked += 1
     assert checked == 4**n
+
+
+def test_closures_compare_after_the_sweep_is_collected():
+    """Each ``differs`` keeps its own class's bits, so a caller may
+    collect the sweep before calling any of them."""
+    for n in range(1, 5):
+        sweep = list(verify._closures(n, 2))
+        assert len(sweep) == 3**n
+        for alpha, differs in sweep:
+            assert differs({"alpha": list(alpha)}, closure(alpha)) is None, alpha
 
 
 def test_sweeps_read_key_exponents_without_a_copy(monkeypatch):
