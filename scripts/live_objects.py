@@ -4,10 +4,17 @@ perfbench workload leave behind.
 usage: python3 scripts/live_objects.py WORKLOAD
 
 Compiles src/keypoly first, as perfbench/run.py does, so that the import
-reads bytecode.  Then a fresh interpreter, with the collector off,
-imports ``keypoly`` and ``keypoly.cli`` from src/ and runs the workload
-once through ``perfbench/workloads.py`` at seed 1, and prints the net change in
-live GC-tracked objects over each step as ``import I run R``.  The
+reads bytecode.  It compiles with ``force=True``: by default
+``compileall`` skips a source whose cached bytecode records its mtime, so
+a file edited and given back its old mtime keeps stale bytecode, which
+the import then compiles afresh, and the count moves by the compiler's
+own objects.  perfbench/run.py's compile has the same skip, so delete
+src/keypoly/__pycache__ before each side of a perfbench comparison.
+
+Then a fresh interpreter, with the collector off, imports ``keypoly`` and
+``keypoly.cli`` from src/ and runs the workload once through
+``perfbench/workloads.py`` at seed 1, and prints the net change in live
+GC-tracked objects over each step as ``import I run R``.  The
 lattice-n4 speed probe runs in the GC state the run leaves, so these two
 counts tell whether a change to src/keypoly moved it (see ROADMAP.md).
 """
@@ -44,7 +51,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description="live GC-tracked objects after import keypoly and one workload")
     parser.add_argument("workload", choices=workloads.NAMES)
     args = parser.parse_args()
-    if not compileall.compile_dir(os.path.join(ROOT, "src", "keypoly"), quiet=1):
+    if not compileall.compile_dir(os.path.join(ROOT, "src", "keypoly"), quiet=1, force=True):
         print("live_objects: src/keypoly does not compile", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as outdir:

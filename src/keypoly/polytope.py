@@ -20,17 +20,21 @@ meets the inequalities.
 - The sandwich.  When the generators G share a coordinate sum, G lies in
   the lattice points of conv G, which lie in those of H(h), whether or
   not h is submodular.  So when H(h) holds exactly the points G, the
-  hull is saturated with lattice points G.  (When G has two sums, H(h),
-  all of the largest one, cannot hold exactly G.)
-- The greedy certificate, tried only when the sandwich misses: G shares
-  a coordinate sum, and each of the n! greedy vertices of h (Edmonds) is
-  a generator.  Greedy vertices inside the hull make h submodular, and a
-  submodular h has exactly the greedy vertices as the vertices of H(h),
-  so the hull is H(h).
-- Otherwise the LP below settles each candidate.  When G shares a
-  coordinate sum, the candidates are the points of H(h): H(h) is convex
-  and holds G, so it holds every lattice point of conv G.  When G does
-  not, they are the points of the coordinate box of G.
+  hull is saturated with lattice points G.
+- The lift, when the sandwich misses and G has two or more coordinate
+  sums.  With d = h([n]), the largest sum, x -> (x, d - sum(x)) is an
+  affine lattice bijection from Z^n onto the integer points of sum d in
+  Z^{n+1}, and it maps conv G onto conv G' for the lifted generators G'.
+  G' shares the sum d, so the lattice points of conv G are those of
+  conv G', found by the steps here in n + 1 coordinates, with the last
+  coordinate dropped.  H(h') of G' projects into the coordinate box of
+  G, so no more candidates reach the LP than that box holds.
+- The greedy certificate: each of the n! greedy vertices of h (Edmonds)
+  is a generator.  Greedy vertices inside the hull make h submodular,
+  and a submodular h has exactly the greedy vertices as the vertices of
+  H(h), so the hull is H(h).
+- Otherwise the LP below settles each candidate, each point of H(h):
+  H(h) is convex and holds G, so it holds every lattice point of conv G.
 
 ``lattice_points`` and ``newton_lattice_points`` both answer through
 this routine; the second builds the hull only for the LP, and which path
@@ -84,8 +88,8 @@ import numbers
 from collections.abc import Collection, Iterable, Sequence, Set
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, permutations, product
-from operator import add, mul, sub
+from itertools import chain, permutations
+from operator import add, itemgetter, mul, sub
 
 from .polynomial import SparsePolynomial
 
@@ -189,13 +193,17 @@ def _lattice_points(
     n: int, generators: Set[tuple[int, ...]], hull: VPolytope | SparsePolynomial
 ) -> set[tuple[int, ...]]:
     """The lattice points of the hull of the nonempty point set
-    generators, from one enumeration of H(h) for the generators' support
-    values h: by the sandwich, by the greedy certificate, or else by
-    ``contains`` on each candidate (see the module docstring).  hull is
-    that hull, or the polynomial whose Newton polytope it is, which is
-    built only for ``contains``.  When the sandwich holds, the answer is
-    generators itself, so a caller that compares it with its own exponent
-    tuples matches them by identity rather than by value.
+    generators, from the lattice points of H(h) for the generators'
+    support values h, the one source of candidates: by the sandwich, by
+    the lift onto one coordinate sum, by the greedy certificate, or else
+    by ``contains`` on each point of H(h) (see the module docstring).
+    hull is that hull, or the polynomial whose Newton polytope it is,
+    which is built only for ``contains``.  A lifted set answers through
+    ``lattice_points`` of its own hull, so an LP on it runs on that hull
+    and its one crash basis.  When the sandwich holds on generators that
+    are not lifted, the answer is generators itself, so a caller that
+    compares it with its own exponent tuples matches them by identity
+    rather than by value.
 
     The greedy certificate makes h submodular, the hypothesis of
     Edmonds' theorem: the greedy vertex v of an ordering that starts with
@@ -206,15 +214,14 @@ def _lattice_points(
     points = _support_lattice_points(n, h)
     if points == generators:
         return generators
-    common = len({sum(g) for g in generators}) == 1
+    if len(set(map(sum, generators))) > 1:
+        d = h[-1]
+        lifted = VPolytope.from_points(n + 1, {(*g, d - sum(g)) for g in generators})
+        return set(map(itemgetter(slice(n)), lattice_points(lifted)))
     get = h.__getitem__
-    if common and all(
-        tuple(map(sub, map(get, upto), map(get, before))) in generators for upto, before in _greedy_chains(n)
-    ):
+    if all(tuple(map(sub, map(get, upto), map(get, before))) in generators for upto, before in _greedy_chains(n)):
         return points
     p = newton_polytope(hull) if isinstance(hull, SparsePolynomial) else hull
-    if not common:
-        points = product(*(range(lo, hi + 1) for lo, hi in zip(*p._box)))
     return {c for c in points if contains(p, c)}
 
 
@@ -457,8 +464,9 @@ def _support_lattice_points(n: int, h: Sequence[int]) -> set[tuple[int, ...]]:
 
 def newton_lattice_points(f: SparsePolynomial) -> set[tuple[int, ...]]:
     """All integer points of the Newton polytope of a nonzero polynomial,
-    by ``_lattice_points`` of its exponents, which builds the hull only
-    when neither proof answers."""
+    by ``_lattice_points`` of its exponents, which builds the Newton
+    polytope only for the LP; exponents with two or more coordinate sums
+    answer through the hull of their lift instead."""
     exps = f.exponents()
     if not exps:
         raise ValueError("the zero polynomial has no Newton polytope")

@@ -291,9 +291,24 @@ class TestLatticePoints:
             (1, 3, 2),
         }
 
-    def test_mixed_sums_scans_full_box(self):
+    def test_mixed_sums_lift_onto_one_sum(self):
         p = VPolytope.from_points(1, [(0,), (2,)])
         assert lattice_points(p) == {(0,), (1,), (2,)}
+
+    def test_lift_answers_a_simplex_of_two_sums_without_the_lp(self, monkeypatch):
+        # conv{0, 6e_1, ..., 6e_4}, whose box holds 2,401 points, lifts
+        # onto the sum 6 as conv{6e_1, ..., 6e_5}, a generalized
+        # permutahedron whose greedy vertices are its generators.
+        gens = [(0,) * 4] + [tuple(6 * (i == j) for j in range(4)) for i in range(4)]
+        p = VPolytope.from_points(4, gens)
+        expected = lp_lattice_points(p)
+        assert len(expected) == 210
+        asked = spy_contains(monkeypatch)
+        assert lattice_points(p) == expected
+        f = SparsePolynomial(4, dict.fromkeys(gens, 1))
+        assert newton_lattice_points(f) == expected
+        assert not snp_check(f)
+        assert asked == []
 
     def test_square(self):
         p = VPolytope.from_points(2, [(0, 0), (2, 0), (0, 2), (2, 2)])
@@ -320,17 +335,22 @@ class TestLatticePoints:
             ([(2, 0, 1), (0, 1, 2), (1, 2, 0)], 7),
             ([(0, 0), (2, 2)], 9),
             ([(2, 0, 1, 0), (0, 1, 2, 0), (1, 2, 0, 0), (0, 0, 0, 3)], 17),
+            ([(0, 0, 0), (1, 2, 0), (0, 3, 1), (2, 0, 2)], 24),
         ],
     )
     def test_lp_calls_at_most_the_box_points_on_the_common_sum(self, monkeypatch, generators, box_points):
         """An unproven hull asks ``contains`` no more often than there are
-        box points on the generators' common sum, or in the whole box when
-        they have none."""
+        box points on the generators' common sum.  Generators with two or
+        more sums are asked about through their lift, whose H(h) projects
+        into their box: all 9 points of the box of {(0, 0), (2, 2)}, and
+        24 of the 36 of the last row's.  Every question goes to one hull,
+        so one crash basis serves them all."""
         p = VPolytope.from_points(len(generators[0]), generators)
         expected = lp_lattice_points(p)
         asked = spy_contains(monkeypatch)
         assert lattice_points(p) == expected
         assert 0 < len(asked) <= box_points
+        assert len({id(q) for q, _ in asked}) == 1
 
 
 class TestSnp:

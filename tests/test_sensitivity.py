@@ -553,8 +553,9 @@ def _double_leading_coefficients(monkeypatch):
 
 def _support_without_greedy_check(monkeypatch):
     """``_lattice_points`` returns the lattice points of H(h), with no
-    ``contains`` call, for every generator set that shares a coordinate
-    sum, greedy vertices or not: there are no greedy vertices to check."""
+    ``contains`` call, for every generator set the sandwich misses, lifted
+    onto one coordinate sum or not, greedy vertices or not: there are no
+    greedy vertices to check."""
     monkeypatch.setattr(polytope, "_greedy_chains", lambda n: ())
 
 
@@ -582,6 +583,10 @@ def test_run_verification_catches(monkeypatch, plant):
 
 def test_uncaught_faults_take_effect(monkeypatch):
     """The rows above fail for want of a suite, not of a fault."""
+    # Three coordinate sums: the hull reaches the greedy check through its
+    # lift, and H(h) of the lift projects to 24 points.
+    mixed = polytope.VPolytope.from_points(3, [(0, 0, 0), (1, 2, 0), (0, 3, 1), (2, 0, 2)])
+    assert polytope.lattice_points(mixed) == {(0, 0, 0), (1, 2, 0), (0, 3, 1), (2, 0, 2), (1, 0, 1), (1, 1, 1)}
     _double_leading_coefficients(monkeypatch)
     _support_without_greedy_check(monkeypatch)
     for module in (verify, bruhat):
@@ -592,3 +597,4 @@ def test_uncaught_faults_take_effect(monkeypatch):
     assert polytope.lattice_points(triangle) == {
         (2, 0, 1), (0, 1, 2), (1, 2, 0), (1, 1, 1), (2, 1, 0), (0, 2, 1), (1, 0, 2)
     }
+    assert len(polytope.lattice_points(mixed)) == 24
