@@ -42,7 +42,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
-from operator import mul
+from operator import ge, mul
 
 __all__ = [
     "Move",
@@ -367,8 +367,8 @@ def _partitions(total: int, max_part: int, slots: int):
 
 def _check_partition(p: Sequence[int], name: str) -> tuple[int, ...]:
     t = tuple(p)
-    if any(isinstance(x, bool) or not isinstance(x, int) or x < 0 for x in t):
+    if not all(type(x) is int and x >= 0 for x in t):
         raise ValueError(f"{name} parts must be nonnegative ints: {t}")
-    if any(t[k] < t[k + 1] for k in range(len(t) - 1)):
+    if not all(map(ge, t, t[1:])):
         raise ValueError(f"{name} is not weakly decreasing: {t}")
     return t

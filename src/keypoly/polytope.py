@@ -47,6 +47,10 @@ itself, and ``rado`` compares inclusion with dominance.  In
 ``polytope_subset(p, q)``, when the generator set of q is closed under
 permuting coordinates, so is q, and a point lies in q iff its ascending
 rearrangement does, so one LP per orbit of p's generators suffices.
+Each hull finds out once whether it is closed and, if it is, lists its
+orbits then, so a closed p, such as a permutohedron, is not sorted again
+per call; only a p that is not closed is sorted and deduplicated on each
+call.
 
 For the LP, a rational point p is scaled once to integer numerators over
 one common denominator den, and its membership is the feasibility of the
@@ -155,11 +159,17 @@ class VPolytope:
         return _crash_basis(self.generators)
 
     @cached_property
-    def _symmetric(self) -> bool:
-        """Whether the generator set is closed under swapping any two
-        adjacent coordinates, hence under every permutation of them."""
+    def _orbits(self) -> tuple[tuple[int, ...], ...]:
+        """The ascending rearrangement of each orbit of the generators
+        under permuting coordinates, in the order the generators first
+        reach it, when the generator set is closed under swapping any two
+        adjacent coordinates, hence under every permutation of them; ()
+        otherwise.  Computed once per hull, so that ``polytope_subset``
+        sorts a closed hull's generators once, not on every call."""
         gens = self._generator_set
-        return all(g[:i] + (g[i + 1], g[i]) + g[i + 2 :] in gens for g in gens for i in range(self.n - 1))
+        if all(g[:i] + (g[i + 1], g[i]) + g[i + 2 :] in gens for g in gens for i in range(self.n - 1)):
+            return tuple(dict.fromkeys(tuple(sorted(g)) for g in self.generators))
+        return ()
 
 
 def _support_values(points: Collection[tuple[int, ...]]) -> tuple[int, ...]:
@@ -483,11 +493,13 @@ def polytope_subset(p: VPolytope, q: VPolytope) -> bool:
 
     When the generator set of q is closed under permuting coordinates, q
     is too, so g lies in q iff its ascending rearrangement does, and one
-    ``contains`` call per rearrangement class decides them all.
+    ``contains`` call per rearrangement class decides them all.  A closed
+    p lists those classes once per hull, in ``p._orbits``; only a p that
+    is not closed sorts and deduplicates its generators on each call.
     """
     if p.n != q.n:
         raise ValueError(f"dimensions differ: {p.n} vs {q.n}")
     points = p.generators
-    if q._symmetric:
-        points = dict.fromkeys(tuple(sorted(g)) for g in points)
+    if q._orbits:
+        points = p._orbits or dict.fromkeys(tuple(sorted(g)) for g in points)
     return all(contains(q, g) for g in points)

@@ -7,6 +7,7 @@ logic.
 """
 
 import random
+import re
 from collections import deque
 from itertools import permutations, product
 
@@ -277,6 +278,10 @@ class TestClosureMatchesKeyExponents:
                     assert expected == leq_kappa(beta, alpha)[0]
 
 
+class _Int(int):
+    """An int subclass, which the partition checks refuse."""
+
+
 class TestDominance:
     def test_examples(self):
         assert dominance_leq((2, 2, 2), (3, 2, 1))
@@ -288,8 +293,10 @@ class TestDominance:
             dominance_leq((2, 1), (2, 2))
 
     def test_rejects_non_partition(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^mu is not weakly decreasing: \(1, 2\)$"):
             dominance_leq((1, 2), (2, 1))
+        with pytest.raises(ValueError, match=r"^lambda is not weakly decreasing: \(1, 2\)$"):
+            dominance_leq((2, 1), (1, 2))
 
     @pytest.mark.parametrize(
         "mu, lam",
@@ -303,6 +310,18 @@ class TestDominance:
     def test_rearrangements_reject_parts_that_are_not_nonnegative_ints(self, lam):
         with pytest.raises(ValueError, match="nonnegative ints"):
             dominated_rearrangements(lam)
+
+    @pytest.mark.parametrize("part", [True, _Int(1)], ids=["bool", "int subclass"])
+    def test_rejects_a_part_whose_type_is_not_int(self, part):
+        """Parts must be exactly int, as Move, MoveChain, Filling and
+        VPolytope require: a bool or an int subclass is refused."""
+        parts = re.escape(repr((1, part)))
+        with pytest.raises(ValueError, match=f"^mu parts must be nonnegative ints: {parts}$"):
+            dominance_leq((1, part), (2, 0))
+        with pytest.raises(ValueError, match=f"^lambda parts must be nonnegative ints: {parts}$"):
+            dominance_leq((2, 0), (1, part))
+        with pytest.raises(ValueError, match="^lambda parts must be nonnegative ints"):
+            dominated_rearrangements((part, 0))
 
     def test_rearrangement_examples(self):
         assert dominated_rearrangements((1, 0)) == {(1, 0), (0, 1)}

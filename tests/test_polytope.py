@@ -910,7 +910,7 @@ class TestOrbitReduction:
         assert verify.suite_rado(3, 3).passed
         assert len(answers) == 609
         for p, q, answer, calls in answers:
-            assert q._symmetric and calls == 1, (p, q)
+            assert q._orbits and calls == 1, (p, q)
             assert answer == all(contains(q, g) for g in p.generators), (p, q)
             assert answer == all(reference_feasible(q.generators, g) for g in p.generators), (p, q)
 
@@ -918,10 +918,50 @@ class TestOrbitReduction:
     @given(orbit_hulls())
     def test_orbit_hulls_match_the_reference(self, case):
         p, q = case
-        gens = set(q.generators)
-        closed = all(tuple(g[i] for i in order) in gens for g in gens for order in permutations(range(q.n)))
-        assert q._symmetric == closed
+        for hull in (p, q):
+            gens = set(hull.generators)
+            closed = all(tuple(g[i] for i in order) in gens for g in gens for order in permutations(range(hull.n)))
+            assert bool(hull._orbits) == closed
+            if closed:
+                assert sorted(hull._orbits) == sorted(g for g in gens if list(g) == sorted(g))
+        # q's generators come sorted, so its orbits come in lex order.
+        assert q._orbits in {(), tuple(g for g in q.generators if list(g) == sorted(g))}
         assert polytope_subset(p, q) == all(reference_feasible(q.generators, g) for g in p.generators)
+
+    @pytest.mark.parametrize(
+        "points, orbits",
+        [
+            (permutations((2, 1, 0)), ((0, 1, 2),)),
+            (permutations((2, 2, 0)), ((0, 2, 2),)),
+            ([g for g in permutations((2, 1, 0)) if g != (2, 1, 0)], ()),
+        ],
+    )
+    def test_orbits(self, points, orbits):
+        assert VPolytope.from_points(3, points)._orbits == orbits
+
+    @pytest.mark.parametrize("vertex", [(3, 0, 0), (2, 1, 0)])
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_closed_hull_asks_what_a_per_call_dedup_asks(self, monkeypatch, vertex, ordered):
+        """A closed p with three orbits asks ``contains`` at the points,
+        and in the order, that sorting and deduplicating its generators on
+        every call gives, whatever order they come in, up to the first
+        "no": the simplex holds every point, and the permutohedron of
+        (2, 1, 0) lacks (0, 0, 3)."""
+        gens = sorted({g for s in [(2, 1, 0), (1, 1, 1), (3, 0, 0)] for g in permutations(s)})
+        if not ordered:
+            random.Random(0).shuffle(gens)
+        p = VPolytope(3, tuple(gens))
+        q = VPolytope.from_points(3, permutations(vertex))
+        expected = []
+        for c in dict.fromkeys(tuple(sorted(g)) for g in gens):
+            expected.append((q, c))
+            if not contains(q, c):
+                break
+        asked = spy_contains(monkeypatch)
+        for _ in range(2):
+            assert polytope_subset(p, q) == (vertex == (3, 0, 0))
+            assert asked == expected and len(p._orbits) == 3
+            del asked[:]
 
     def test_hull_missing_one_permuted_vertex_is_not_reduced(self, monkeypatch):
         """The permutohedron of (2, 1, 0) without the vertex (2, 1, 0) is
@@ -930,9 +970,9 @@ class TestOrbitReduction:
         would answer wrongly."""
         q = VPolytope.from_points(3, [g for g in permutations((2, 1, 0)) if g != (2, 1, 0)])
         p = VPolytope.from_points(3, [(2, 1, 0)])
-        assert not q._symmetric
+        assert q._orbits == ()
         assert not polytope_subset(p, q)
-        monkeypatch.setitem(vars(q), "_symmetric", True)
+        monkeypatch.setitem(vars(q), "_orbits", ((0, 1, 2),))
         assert polytope_subset(p, q)
 
 

@@ -9,6 +9,7 @@ per-check content, so most tests pin them exactly.
 import functools
 import inspect
 import textwrap
+from itertools import permutations
 
 import pytest
 import test_moves
@@ -559,6 +560,14 @@ def _support_without_greedy_check(monkeypatch):
     monkeypatch.setattr(polytope, "_greedy_chains", lambda n: ())
 
 
+def _first_orbit_only(monkeypatch):
+    """Every hull's orbit list keeps only its first orbit, so
+    ``polytope_subset`` into a closed q asks ``contains`` about one orbit
+    of a closed p and never about the others."""
+    orbits = polytope.VPolytope._orbits.func
+    monkeypatch.setattr(polytope.VPolytope, "_orbits", property(lambda self: orbits(self)[:1]))
+
+
 @pytest.mark.parametrize(
     "plant",
     [
@@ -574,6 +583,14 @@ def _support_without_greedy_check(monkeypatch):
                 "so only the unit tests in test_polytope.py guard this check",
             ),
         ),
+        pytest.param(
+            _first_orbit_only,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="every hull that rado's inclusion checks build is a permutohedron, "
+                "with one orbit, so only the unit tests in test_polytope.py guard the others",
+            ),
+        ),
     ],
 )
 def test_run_verification_catches(monkeypatch, plant):
@@ -587,8 +604,15 @@ def test_uncaught_faults_take_effect(monkeypatch):
     # lift, and H(h) of the lift projects to 24 points.
     mixed = polytope.VPolytope.from_points(3, [(0, 0, 0), (1, 2, 0), (0, 3, 1), (2, 0, 2)])
     assert polytope.lattice_points(mixed) == {(0, 0, 0), (1, 2, 0), (0, 3, 1), (2, 0, 2), (1, 0, 1), (1, 1, 1)}
+    # Two orbits: (1, 1, 1) is not in the simplex, and only the planted
+    # orbit list never asks about it.
+    simplex = polytope.VPolytope.from_points(3, permutations((1, 0, 0)))
+    two_orbits = polytope.VPolytope.from_points(3, [*permutations((1, 0, 0)), (1, 1, 1)])
+    assert not polytope.polytope_subset(two_orbits, simplex)
+    _first_orbit_only(monkeypatch)
     _double_leading_coefficients(monkeypatch)
     _support_without_greedy_check(monkeypatch)
+    assert polytope.polytope_subset(two_orbits, simplex)
     for module in (verify, bruhat):
         assert module.key_polynomial((0, 1)).terms == {(1, 0): 2, (0, 1): 1}
     # The triangle has no edge along any e_i - e_j, so it is not a
